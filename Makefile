@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet govet machvet test race sim fuzz-smoke bench bench-smoke bench-arsenal locktrace lockmon mon-smoke machd machd-smoke machd-lockgraph lockcover lockcover-check
+.PHONY: all build vet govet machvet test race sim fuzz-smoke benchmark bench bench-smoke bench-arsenal locktrace lockmon mon-smoke machd machd-smoke lockcover lockcover-check
 
 all: vet build test
 
@@ -9,7 +9,7 @@ build:
 
 # Standard go vet plus machvet, the repo's own locking-discipline checker
 # (internal/analysis): holdblock, lockorder, unlockpath, refdiscipline,
-# deprecated, atomicity, sleepwake. Findings fail the build. `vet` is the
+# atomicity, sleepwake. Findings fail the build. `vet` is the
 # one entry point (CI runs exactly this target); govet/machvet split the
 # two halves for local iteration without duplicating either invocation.
 vet: govet machvet
@@ -49,6 +49,14 @@ sim:
 fuzz-smoke:
 	$(GO) test -run 'FuzzSim' ./internal/core/cxlock/ ./internal/core/refcount/ ./internal/machsim/
 
+# The repository's benchmark (BENCHMARK.json, bench/README.md): four
+# closed-loop workloads, every metric printed by name and unit, result
+# set in bench/out/result.json. The only code that produces or judges a
+# performance number; compare two result sets with
+#   go run ./bench -compare parent.json change.json
+benchmark:
+	$(GO) run ./bench
+
 # Experiment benchmarks (E1-E13) plus the uncontended fast-path pairs
 # that pin the observability layer's disabled-tracing overhead.
 bench:
@@ -83,7 +91,7 @@ mon-smoke:
 	$(GO) run ./cmd/lockmon -smoke -threads 4 -ops 200
 
 # Run the machd daemon (serve mode; ^C to stop). See cmd/machd for load
-# mode: machd -load -duration 60s -rate 2000 -mix default -bench BENCH_machd.json
+# mode: machd -load -duration 60s -rate 2000 -mix default
 machd:
 	$(GO) run ./cmd/machd -rpc 127.0.0.1:7207 -http 127.0.0.1:7208
 
@@ -91,28 +99,20 @@ machd:
 # drives four distinct scenario mixes over real TCP sockets, scrapes
 # /debug/machlock/metrics, and asserts the SLO quantiles are populated,
 # the combined exposition carries the machlock_* and machd_* families,
-# zero incidents were filed, and BENCH_machd.json validates. This run is
-# measurement-clean — the trajectory must stay comparable across PRs —
-# so the lock-graph collector (which perturbs spin-lock hold times) gets
-# its own smoke below.
+# and zero incidents were filed. The lock-order collector is on, and the
+# class edges it observed are dumped through the real
+# /debug/machlock/lockgraph endpoint for the cross-check below.
 machd-smoke:
-	$(GO) run ./cmd/machd -smoke -bench BENCH_machd.json
-
-# Same four mixes with the lock-order collector enabled, dumping the
-# observed class edges through the real /debug/machlock/lockgraph
-# endpoint. Its bench report goes to a scratch file: collector-on numbers
-# are not comparable with the committed trajectory.
-machd-lockgraph:
-	$(GO) run ./cmd/machd -smoke -bench lockgraph-bench-scratch.json -lockgraph lockgraph-dynamic-machd.json
+	$(GO) run ./cmd/machd -smoke -lockgraph lockgraph-dynamic-machd.json
 
 # Static-vs-dynamic lock-graph cross-check. `machvet -graph` proves the
-# whole-program class acquisition order; the sim and machd-lockgraph runs
+# whole-program class acquisition order; the sim and machd-smoke runs
 # record what actually nested at runtime. Any dynamic-only edge is an
 # analysis soundness hole and fails the target; static coverage below the
 # committed baseline (lockgraph-baseline.txt) fails too. The full target
 # regenerates both sides; lockcover-check just diffs what is on disk
 # (CI runs the pieces separately so the artifacts upload individually).
-lockcover: sim machd-lockgraph lockcover-check
+lockcover: sim machd-smoke lockcover-check
 
 lockcover-check:
 	$(GO) run ./cmd/machvet -graph lockgraph-static.json ./...

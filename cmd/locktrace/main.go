@@ -27,7 +27,6 @@ import (
 
 	"machlock/internal/core/splock"
 	"machlock/internal/ipc"
-	"machlock/internal/opspan"
 	"machlock/internal/sched"
 	"machlock/internal/trace"
 	"machlock/internal/vm"
@@ -74,12 +73,10 @@ func main() {
 	}
 
 	trace.Enable()
-	opspan.Install() // credit in-span lock waits (vm faults, ipc sends)
 	runVM(*threads, *ops)
 	runIPC(*threads, *ops)
 	runZalloc(*threads, *ops)
 	runSpin(*threads, *ops)
-	opspan.Uninstall()
 	trace.Disable()
 
 	if *pprofOut != "" {

@@ -13,17 +13,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
-	"machlock/internal/benchjson"
 	"machlock/internal/experiments"
 )
 
 func main() {
 	quick := flag.Bool("quick", false, "run with reduced iteration counts")
 	list := flag.Bool("list", false, "list experiments and exit")
-	jsonPath := flag.String("json", "", "also write a machlock-bench/v1 report here (- for stdout)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: machbench [-quick] [-list] [experiment-ids...]\n\n")
 		fmt.Fprintf(os.Stderr, "Reproduces the evaluation of \"Locking and Reference Counting in the\nMach Kernel\" (Black et al., ICPP 1991). Run with no arguments for the\nfull suite.\n\nflags:\n")
@@ -55,10 +52,6 @@ func main() {
 
 	cfg := experiments.Config{Quick: *quick}
 	fmt.Printf("machbench: %d experiment(s), quick=%v\n\n", len(runs), *quick)
-	report := benchjson.New("machbench", "machbench", runtime.GOMAXPROCS(0))
-	if *quick {
-		report.Notes = append(report.Notes, "quick mode: reduced iteration counts")
-	}
 	start := time.Now()
 	for _, e := range runs {
 		t0 := time.Now()
@@ -67,36 +60,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "machbench: %v\n", err)
 			os.Exit(1)
 		}
-		elapsed := time.Since(t0)
-		fmt.Printf("[%s completed in %v]\n\n", e.ID, elapsed.Round(time.Millisecond))
-
-		// One benchjson scenario per experiment: the rendered tables are
-		// the payload, the per-experiment wall time the only number the
-		// runner itself adds.
-		sc := &benchjson.Scenario{Notes: append([]string{"claim: " + res.Claim}, res.Notes...)}
-		for _, tbl := range res.Tables {
-			sc.Tables = append(sc.Tables, tbl.String())
-		}
-		sc.P50Ns = elapsed.Nanoseconds() // wall time, all three quantile slots
-		sc.P90Ns = elapsed.Nanoseconds()
-		sc.P99Ns = elapsed.Nanoseconds()
-		report.Scenarios[res.ID] = sc
+		fmt.Printf("[%s completed in %v]\n\n", e.ID, time.Since(t0).Round(time.Millisecond))
 	}
-	total := time.Since(start)
-	fmt.Printf("machbench: done in %v\n", total.Round(time.Millisecond))
-
-	if *jsonPath != "" {
-		report.DurationSec = total.Seconds()
-		if err := report.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "machbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := benchjson.WriteFile(*jsonPath, report); err != nil {
-			fmt.Fprintf(os.Stderr, "machbench: %v\n", err)
-			os.Exit(1)
-		}
-		if *jsonPath != "-" {
-			fmt.Printf("machbench: wrote %s\n", *jsonPath)
-		}
-	}
+	fmt.Printf("machbench: done in %v\n", time.Since(start).Round(time.Millisecond))
 }

@@ -8,15 +8,18 @@
 //	machd -rpc 127.0.0.1:7207 -http 127.0.0.1:7208
 //
 // Load mode boots the daemon, drives the built-in open-loop generator
-// against it, writes the machine-readable trajectory, and exits:
+// against it, prints the per-scenario summary, and exits:
 //
-//	machd -load -duration 60s -rate 2000 -mix default -bench BENCH_machd.json
+//	machd -load -duration 60s -rate 2000 -mix default
 //
 // Smoke mode is the CI gate: ephemeral ports, four distinct scenario
-// mixes over real sockets, then hard assertions on the scrape and the
-// report:
+// mixes over real sockets, then hard assertions on the collector
+// snapshot, the scrape and the incident counts:
 //
-//	machd -smoke
+//	machd -smoke [-lockgraph lockgraph-dynamic-machd.json]
+//
+// Neither mode is a benchmark: performance numbers come from
+// `go run ./bench` (bench/README.md).
 package main
 
 import (
@@ -30,7 +33,6 @@ import (
 	"syscall"
 	"time"
 
-	"machlock/internal/benchjson"
 	"machlock/internal/lockgraph"
 	"machlock/internal/machd"
 	"machlock/internal/trace"
@@ -58,7 +60,6 @@ func main() {
 		badPct    = flag.Int("bad-lookup-pct", 0, "percent of lookups aimed at a dead name")
 		holdUs    = flag.Int("hold-us", 1000, "chaos slow-holder duration (microseconds)")
 		seed      = flag.Int64("seed", 1, "load generator random seed")
-		bench     = flag.String("bench", "", "write benchjson report here after a load run (- for stdout)")
 		lockGraph = flag.String("lockgraph", "", "collect the runtime lock-order graph and write it here after a smoke/load run (- for stdout)")
 	)
 	flag.Parse()
@@ -68,7 +69,7 @@ func main() {
 	}
 
 	if *smoke {
-		os.Exit(runSmoke(*bench, *lockGraph))
+		os.Exit(runSmoke(*lockGraph))
 	}
 
 	mix, err := resolveMix(*mixFlag)
@@ -115,18 +116,7 @@ func main() {
 			d.Stop()
 			os.Exit(1)
 		}
-		report := d.Report("machd -load", res.Elapsed)
-		printSummary(os.Stdout, d, report)
-		if *bench != "" {
-			if err := benchjson.WriteFile(*bench, report); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				d.Stop()
-				os.Exit(1)
-			}
-			if *bench != "-" {
-				fmt.Printf("machd: wrote %s\n", *bench)
-			}
-		}
+		printSummary(os.Stdout, d, res.Elapsed)
 		if *lockGraph != "" {
 			if err := dumpLockGraph(d, *lockGraph); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -160,10 +150,20 @@ func resolveMix(s string) (machd.Mix, error) {
 	return machd.ParseMix(s)
 }
 
-func printSummary(w io.Writer, d *machd.Daemon, r *benchjson.Report) {
+// printSummary prints the run's totals and per-scenario client latency
+// straight from the collector.
+func printSummary(w io.Writer, d *machd.Daemon, elapsed time.Duration) {
+	snap := d.Collector().Snapshot()
+	var ops, errs, timeouts int64
+	for _, s := range snap {
+		ops += s.Done + s.Failed
+		errs += s.Failed
+		timeouts += s.TimedOut
+	}
+	sec := elapsed.Seconds()
 	fmt.Fprintf(w, "machd: %d ops in %.1fs (%.0f/s), %d errors, %d timeouts\n",
-		r.Totals.Ops, r.DurationSec, r.Totals.OpsPerSec, r.Totals.Errors, r.Totals.Timeouts)
-	for _, s := range d.Collector().Snapshot() {
+		ops, sec, float64(ops)/sec, errs, timeouts)
+	for _, s := range snap {
 		if s.Offered == 0 {
 			continue
 		}
@@ -201,7 +201,7 @@ func dumpLockGraph(d *machd.Daemon, path string) error {
 }
 
 // runSmoke is the CI gate. It returns the process exit code.
-func runSmoke(benchPath, lockGraphPath string) int {
+func runSmoke(lockGraphPath string) int {
 	fail := func(format string, args ...any) int {
 		fmt.Fprintf(os.Stderr, "machd-smoke: FAIL: "+format+"\n", args...)
 		return 1
@@ -285,27 +285,12 @@ func runSmoke(benchPath, lockGraphPath string) int {
 		}
 	}
 
-	// The trajectory report is well-formed.
-	report := d.Report("machd -smoke", elapsed)
-	if err := report.Validate(); err != nil {
-		return fail("report: %v", err)
-	}
-	if benchPath == "" {
-		benchPath = "BENCH_machd.json"
-	}
-	if err := benchjson.WriteFile(benchPath, report); err != nil {
-		return fail("write report: %v", err)
-	}
-	if _, err := benchjson.ReadFile(benchPath); err != nil {
-		return fail("re-read report: %v", err)
-	}
 	if lockGraphPath != "" {
 		if err := dumpLockGraph(d, lockGraphPath); err != nil {
 			return fail("%v", err)
 		}
 	}
-	printSummary(os.Stdout, d, report)
-	fmt.Printf("machd-smoke: PASS (%d mixes, %d ops, report %s)\n",
-		len(smokeMixes), report.Totals.Ops, benchPath)
+	printSummary(os.Stdout, d, elapsed)
+	fmt.Printf("machd-smoke: PASS (%d mixes)\n", len(smokeMixes))
 	return 0
 }

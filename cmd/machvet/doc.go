@@ -2,7 +2,7 @@
 // discipline this repository implements from "Locking and Reference
 // Counting in the Mach Kernel". It is a multichecker in the style of go
 // vet: it loads every package named by its patterns (default ./..., from
-// the module root), runs seven passes over each, and exits non-zero if
+// the module root), runs six passes over each, and exits non-zero if
 // any diagnostic survives.
 //
 // The passes, and the paper rule each one encodes:
@@ -54,10 +54,6 @@
 //	               clear_wait is the runtime's "already waiting" panic.
 //	               sched.ThreadSleep's unlock closure is the sanctioned
 //	               atomic form.
-//
-//	deprecated     Superseded constructors and mutators (cxlock.New/Init,
-//	               cxlock.SetObserver, splock.NewSim), with the
-//	               replacement named in the diagnostic.
 //
 // # Lock-graph mode (-graph)
 //

@@ -26,7 +26,6 @@ var KnownPasses = map[string]bool{
 	"refdiscipline": true,
 	"atomicity":     true,
 	"sleepwake":     true,
-	"deprecated":    true,
 }
 
 // Annotation is one parsed machvet/machlock annotation comment.

@@ -6,7 +6,6 @@ package passes
 import (
 	"machlock/internal/analysis/framework"
 	"machlock/internal/analysis/passes/atomicity"
-	"machlock/internal/analysis/passes/deprecated"
 	"machlock/internal/analysis/passes/holdblock"
 	"machlock/internal/analysis/passes/lockorder"
 	"machlock/internal/analysis/passes/refdiscipline"
@@ -23,6 +22,5 @@ func All() []*framework.Analyzer {
 		refdiscipline.Analyzer,
 		atomicity.Analyzer,
 		sleepwake.Analyzer,
-		deprecated.Analyzer,
 	}
 }

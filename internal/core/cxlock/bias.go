@@ -175,7 +175,7 @@ func slotIndex(t *sched.Thread) int {
 // the lock for reading without having touched the interlock.
 func (l *Lock) readFast(t *sched.Thread) bool {
 	b := l.bias
-	if b == nil || t == nil || !b.armed.Load() || l.instrOn() {
+	if b == nil || t == nil || !b.armed.Load() || l.class.On() {
 		return false
 	}
 	s := &b.slots[slotIndex(t)]

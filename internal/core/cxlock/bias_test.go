@@ -360,14 +360,3 @@ func TestRecursiveOptionGate(t *testing.T) {
 	lr.ClearRecursive(self)
 	lr.Done(self)
 }
-
-func TestDeprecatedConstructorsStillRecursive(t *testing.T) {
-	// New/Init predate the Recursive option and must keep allowing
-	// SetRecursive (compatibility contract of the deprecated wrappers).
-	l := New(true)
-	self := sched.New("t")
-	l.Write(self)
-	l.SetRecursive(self) // must not panic
-	l.ClearRecursive(self)
-	l.Done(self)
-}

@@ -102,11 +102,9 @@ type Lock struct {
 
 	stats lockStats
 
-	// class is the optional observability registration; nil means
-	// untraced. stat is the optional per-instance timing sink installed
-	// by StatRW. Both are immutable once the lock is in concurrent use.
+	// class is the optional observability registration (Options.Class);
+	// nil means untraced. Immutable after InitWith.
 	class *trace.Class
-	stat  *rwInstr
 	// acquiredAt stamps the current hold occupancy (first reader in, or
 	// writer in) in ns; protected by the interlock, nonzero only while
 	// instrumented.
@@ -127,32 +125,11 @@ func tidOf(t *sched.Thread) uint32 {
 	return t.TraceID()
 }
 
-// SetClass registers the lock with the observability layer. Call before
-// the lock is in concurrent use.
-//
-// Deprecated: pass Options.Class to NewWith or InitWith instead; mutating
-// a lock after construction is exactly what lock_init-style initialization
-// exists to avoid. Retained for embedded zero-value locks.
-func (l *Lock) SetClass(c *trace.Class) { l.class = c }
-
-// instrOn reports whether acquisition timing is wanted right now: a
-// per-instance stats sink is attached or the class is traced. One atomic
-// load on the common (untraced) path.
-func (l *Lock) instrOn() bool { return l.stat != nil || l.class.On() }
-
-// recordAcquired feeds one granted hold to the per-instance sink and the
-// class profile; called outside the interlock, like the observer hooks.
-// Contended acquisitions also feed the waiter-side site profile (sampled).
-// Hot paths gate the call on instrOn, so the body assumes something is
-// listening; the On() recheck only skips the trace half for stat-only
-// instrumentation.
+// recordAcquired feeds one granted hold to the class profile; called
+// outside the interlock, like the observer hooks. Contended acquisitions
+// also feed the waiter-side site profile (sampled). Hot paths gate the
+// call on class.On() — one atomic load on the common (untraced) path.
 func (l *Lock) recordAcquired(t *sched.Thread, contended bool, waitNs int64) {
-	if l.stat != nil {
-		l.stat.acquired(contended, waitNs)
-	}
-	if !l.class.On() {
-		return
-	}
 	l.class.AcquiredBy(tidOf(t), contended, waitNs)
 	if contended && waitNs > 0 {
 		l.class.WaitSampled(1, waitNs)
@@ -164,12 +141,6 @@ func (l *Lock) recordAcquired(t *sched.Thread, contended bool, waitNs int64) {
 // the holder identity the occupancy published, if any — its hold duration
 // lands in the class's hold-site profile.
 func (l *Lock) recordReleased(t *sched.Thread, holdNs int64, h *trace.HoldInfo) {
-	if l.stat != nil {
-		l.stat.released(holdNs)
-	}
-	if !l.class.On() {
-		return
-	}
 	l.class.ReleasedBy(tidOf(t), holdNs)
 	if holdNs >= 0 {
 		l.class.EndHold(h, holdNs)
@@ -229,24 +200,6 @@ type lockStats struct {
 	downgrades     atomic.Int64
 }
 
-// New creates a complex lock; canSleep enables the Sleep option
-// (lock_init).
-//
-// Deprecated: use NewWith, which exposes every option; New remains as a
-// thin wrapper for existing callers.
-func New(canSleep bool) *Lock {
-	return NewWith(Options{Sleep: canSleep, Recursive: true})
-}
-
-// Init initializes an embedded lock value (lock_init). It must not be
-// called on a lock in use.
-//
-// Deprecated: use InitWith; Init remains as a thin wrapper for existing
-// callers.
-func (l *Lock) Init(canSleep bool) {
-	l.InitWith(Options{Sleep: canSleep, Recursive: true})
-}
-
 // CanSleep reports whether the Sleep option is enabled.
 func (l *Lock) CanSleep() bool {
 	l.interlock.Lock()
@@ -286,13 +239,20 @@ func (l *Lock) wait(t *sched.Thread, round int) {
 		sched.AssertWait(t, sched.Event(l))
 		l.interlock.Unlock()
 		obWaiting(l, t)
+		trace.SpanWaitStart(t) // park implies t != nil
 		l.class.WaitingBy(tid)
 		sched.ThreadBlock(t)
-		obDoneWaiting(l, t)
 	} else {
 		l.stats.spins.Add(1)
 		l.interlock.Unlock()
 		obWaiting(l, t)
+		// The wait is credited to t's open operation span, if any (one
+		// atomic load when none is). The nil check must happen here: a
+		// nil *sched.Thread boxed into the span engine's `any` owner no
+		// longer compares equal to nil.
+		if t != nil {
+			trace.SpanWaitStart(t)
+		}
 		l.class.WaitingBy(tid)
 		if simhook.Enabled() {
 			// One spin iteration is a voluntary machsim yield: the
@@ -304,7 +264,10 @@ func (l *Lock) wait(t *sched.Thread, round int) {
 		} else {
 			runtime.Gosched()
 		}
-		obDoneWaiting(l, t)
+	}
+	obDoneWaiting(l, t)
+	if t != nil {
+		trace.SpanWaitEnd(t)
 	}
 	if tr {
 		waitNs := time.Since(start).Nanoseconds()
@@ -344,7 +307,7 @@ func (l *Lock) wakeupLocked() {
 // recursive holder, the recursion depth is incremented instead.
 func (l *Lock) Write(t *sched.Thread) {
 	simhook.Yield(simhook.CxWrite, l)
-	instr := l.instrOn()
+	instr := l.class.On()
 	var waitStart time.Time
 	waited := false
 	l.interlock.Lock()
@@ -404,8 +367,8 @@ func (l *Lock) Write(t *sched.Thread) {
 	}
 	l.interlock.Unlock()
 	if instr {
-		// instr false implies the class is off (instrOn covers On()), so
-		// the untraced grant path skips even the sampling branch.
+		// instr false means the class is off, so the untraced grant
+		// path skips even the sampling branch.
 		l.publishHold(t)
 	}
 	obAcquired(l, t)
@@ -429,7 +392,7 @@ func (l *Lock) Read(t *sched.Thread) {
 		simhook.Yield(simhook.CxAcquired, l)
 		return
 	}
-	instr := l.instrOn()
+	instr := l.class.On()
 	var waitStart time.Time
 	waited := false
 	l.interlock.Lock()
@@ -489,7 +452,7 @@ func (l *Lock) Read(t *sched.Thread) {
 // caller holds the lock for writing.
 func (l *Lock) ReadToWrite(t *sched.Thread) bool {
 	simhook.Yield(simhook.CxUpgrade, l)
-	instr := l.instrOn()
+	instr := l.class.On()
 	l.interlock.Lock()
 	// A hold taken on the bias fast path lives in the slot table, not in
 	// readCount; migrate it under the interlock so the upgrade protocol
@@ -601,7 +564,7 @@ func (l *Lock) Done(t *sched.Thread) {
 		obReleased(l, t)
 		return
 	}
-	instr := l.instrOn()
+	instr := l.class.On()
 	l.interlock.Lock()
 	endHold := false
 	switch {
@@ -627,7 +590,7 @@ func (l *Lock) Done(t *sched.Thread) {
 	holdNs := int64(-1)
 	var h *trace.HoldInfo
 	// A published hold implies the occupancy was instrumented (publishing
-	// requires the class to be on, which instrOn covers), so the stamp
+	// requires the class to be on), so the stamp
 	// check also guards the hold retire — the untraced release path pays
 	// nothing here.
 	if endHold && l.acquiredAt != 0 {
@@ -656,7 +619,7 @@ func (l *Lock) TryRead(t *sched.Thread) bool {
 		obAcquired(l, t)
 		return true
 	}
-	instr := l.instrOn()
+	instr := l.class.On()
 	l.interlock.Lock()
 	defer l.interlock.Unlock()
 	if t != nil && l.holder == t {
@@ -698,7 +661,7 @@ func (l *Lock) TryWrite(t *sched.Thread) bool {
 	if simhook.ForceFail(simhook.CxTryWrite, l) {
 		return false
 	}
-	instr := l.instrOn()
+	instr := l.class.On()
 	l.interlock.Lock()
 	defer l.interlock.Unlock()
 	if t != nil && l.holder == t {
@@ -794,7 +757,7 @@ func (l *Lock) TryReadToWrite(t *sched.Thread) bool {
 	l.noteBiasDrainedLocked()
 	l.stats.upgrades.Add(1)
 	simhook.Note(simhook.CxUpgradeGrant, l, 0)
-	restamped := l.instrOn() && l.acquiredAt == 0
+	restamped := l.class.On() && l.acquiredAt == 0
 	if restamped {
 		l.acquiredAt = nowNs()
 	}

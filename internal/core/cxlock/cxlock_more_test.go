@@ -20,10 +20,10 @@ func (r *recordingObserver) DoneWaiting(*Lock, *sched.Thread) { r.doneWaiting.Ad
 
 func TestObserverSeesAcquireReleaseBalance(t *testing.T) {
 	rec := &recordingObserver{}
-	SetObserver(rec)
-	defer SetObserver(nil)
+	AddObserver(rec)
+	defer RemoveObserver(rec)
 
-	l := New(true)
+	l := NewWith(Options{Sleep: true})
 	th := sched.New("t")
 	l.Read(th)
 	l.Done(th)
@@ -39,10 +39,10 @@ func TestObserverSeesAcquireReleaseBalance(t *testing.T) {
 
 func TestObserverSeesFailedUpgradeAsRelease(t *testing.T) {
 	rec := &recordingObserver{}
-	SetObserver(rec)
-	defer SetObserver(nil)
+	AddObserver(rec)
+	defer RemoveObserver(rec)
 
-	l := New(true)
+	l := NewWith(Options{Sleep: true})
 	a, b := sched.New("a"), sched.New("b")
 	l.Read(a)
 	l.Read(b)
@@ -75,10 +75,10 @@ func TestObserverSeesFailedUpgradeAsRelease(t *testing.T) {
 
 func TestObserverWaitingEvents(t *testing.T) {
 	rec := &recordingObserver{}
-	SetObserver(rec)
-	defer SetObserver(nil)
+	AddObserver(rec)
+	defer RemoveObserver(rec)
 
-	l := New(true)
+	l := NewWith(Options{Sleep: true})
 	w := sched.New("w")
 	l.Write(w)
 	reader := sched.Go("r", func(self *sched.Thread) {
@@ -101,9 +101,9 @@ func TestObserverWaitingEvents(t *testing.T) {
 
 func TestObserverIgnoresAnonymous(t *testing.T) {
 	rec := &recordingObserver{}
-	SetObserver(rec)
-	defer SetObserver(nil)
-	l := New(false)
+	AddObserver(rec)
+	defer RemoveObserver(rec)
+	l := NewWith(Options{})
 	l.Read(nil)
 	l.Done(nil)
 	if rec.acquired.Load() != 0 || rec.released.Load() != 0 {
@@ -112,7 +112,7 @@ func TestObserverIgnoresAnonymous(t *testing.T) {
 }
 
 func TestRecursiveHolderAccessor(t *testing.T) {
-	l := New(true)
+	l := NewWith(Options{Sleep: true, Recursive: true})
 	th := sched.New("t")
 	if l.RecursiveHolder() != nil {
 		t.Fatal("fresh lock has a recursive holder")
@@ -129,7 +129,7 @@ func TestRecursiveHolderAccessor(t *testing.T) {
 }
 
 func TestSetRecursiveByOtherThreadPanics(t *testing.T) {
-	l := New(true)
+	l := NewWith(Options{Sleep: true, Recursive: true})
 	a, b := sched.New("a"), sched.New("b")
 	l.Write(a)
 	l.SetRecursive(a)
@@ -144,7 +144,7 @@ func TestSetRecursiveByOtherThreadPanics(t *testing.T) {
 }
 
 func TestSetRecursiveNilThreadPanics(t *testing.T) {
-	l := New(true)
+	l := NewWith(Options{Sleep: true, Recursive: true})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
@@ -154,7 +154,7 @@ func TestSetRecursiveNilThreadPanics(t *testing.T) {
 }
 
 func TestTryOpsOnRecursiveHolder(t *testing.T) {
-	l := New(true)
+	l := NewWith(Options{Sleep: true, Recursive: true})
 	th := sched.New("t")
 	l.Write(th)
 	l.SetRecursive(th)
@@ -194,7 +194,7 @@ func TestTryOpsOnRecursiveHolder(t *testing.T) {
 }
 
 func TestUpgradeOfRecursiveReadAfterDowngradePanics(t *testing.T) {
-	l := New(true)
+	l := NewWith(Options{Sleep: true, Recursive: true})
 	th := sched.New("t")
 	l.Write(th)
 	l.SetRecursive(th)
@@ -214,7 +214,7 @@ func TestUpgradeOfRecursiveReadAfterDowngradePanics(t *testing.T) {
 func TestTryReadToWriteSpinsForReadersWhenNotSleepable(t *testing.T) {
 	// The correct (non-Mach-2.5) behaviour: with Sleep off, the upgrade
 	// spins for the other readers rather than blocking.
-	l := New(false)
+	l := NewWith(Options{})
 	other := sched.New("other")
 	l.Read(other)
 	done := make(chan struct{})
@@ -242,7 +242,7 @@ func TestTryReadToWriteSpinsForReadersWhenNotSleepable(t *testing.T) {
 }
 
 func TestBusyWaitSpinsBurnCPU(t *testing.T) {
-	l := New(false)
+	l := NewWith(Options{})
 	l.BusyWait = true
 	w := sched.New("w")
 	l.Write(w)

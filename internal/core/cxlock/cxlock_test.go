@@ -37,7 +37,7 @@ func TestZeroValueIsSpinLock(t *testing.T) {
 }
 
 func TestMultipleReadersShareTheLock(t *testing.T) {
-	l := New(true)
+	l := NewWith(Options{Sleep: true})
 	var concurrent, peak atomic.Int32
 	var threads []*sched.Thread
 	for i := 0; i < 8; i++ {
@@ -66,7 +66,7 @@ func TestMultipleReadersShareTheLock(t *testing.T) {
 
 func TestWriterExcludesEverything(t *testing.T) {
 	for _, sleepable := range []bool{false, true} {
-		l := New(sleepable)
+		l := NewWith(Options{Sleep: sleepable})
 		var active atomic.Int32
 		var violations atomic.Int32
 		var threads []*sched.Thread
@@ -101,7 +101,7 @@ func TestWriterExcludesEverything(t *testing.T) {
 func TestWriterPriorityBlocksNewReaders(t *testing.T) {
 	// "readers may not be added to a lock held for reading in the
 	// presence of an outstanding write request"
-	l := New(true)
+	l := NewWith(Options{Sleep: true})
 	holder := sched.New("holder")
 	l.Read(holder)
 
@@ -142,7 +142,7 @@ func TestWriterPriorityBlocksNewReaders(t *testing.T) {
 }
 
 func TestUpgradeSucceedsWhenAlone(t *testing.T) {
-	l := New(true)
+	l := NewWith(Options{Sleep: true})
 	th := sched.New("t")
 	l.Read(th)
 	if failed := l.ReadToWrite(th); failed {
@@ -155,7 +155,7 @@ func TestUpgradeSucceedsWhenAlone(t *testing.T) {
 }
 
 func TestUpgradeWaitsForOtherReaders(t *testing.T) {
-	l := New(true)
+	l := NewWith(Options{Sleep: true})
 	other := sched.New("other")
 	l.Read(other)
 
@@ -180,7 +180,7 @@ func TestUpgradeWaitsForOtherReaders(t *testing.T) {
 func TestSecondUpgradeFailsAndReleasesReadLock(t *testing.T) {
 	// The deadlock-avoidance rule: "causing upgrades to fail (releasing
 	// their read locks) in the presence of another upgrade request."
-	l := New(true)
+	l := NewWith(Options{Sleep: true})
 	a := sched.New("a")
 	b := sched.New("b")
 	l.Read(a)
@@ -219,7 +219,7 @@ func TestSecondUpgradeFailsAndReleasesReadLock(t *testing.T) {
 }
 
 func TestDowngradeCannotFail(t *testing.T) {
-	l := New(true)
+	l := NewWith(Options{Sleep: true})
 	th := sched.New("t")
 	l.Write(th)
 	l.WriteToRead(th)
@@ -239,7 +239,7 @@ func TestDowngradeCannotFail(t *testing.T) {
 }
 
 func TestDowngradeWakesWaitingReaders(t *testing.T) {
-	l := New(true)
+	l := NewWith(Options{Sleep: true})
 	w := sched.New("w")
 	l.Write(w)
 	var got atomic.Int32
@@ -257,7 +257,7 @@ func TestDowngradeWakesWaitingReaders(t *testing.T) {
 }
 
 func TestTryWrite(t *testing.T) {
-	l := New(false)
+	l := NewWith(Options{})
 	a, b := sched.New("a"), sched.New("b")
 	if !l.TryWrite(a) {
 		t.Fatal("TryWrite failed on free lock")
@@ -283,7 +283,7 @@ func TestTryWrite(t *testing.T) {
 func TestTryReadToWriteKeepsReadLockOnRefusal(t *testing.T) {
 	// Unlike ReadToWrite, the try variant "does not drop the read lock if
 	// the upgrade would deadlock".
-	l := New(true)
+	l := NewWith(Options{Sleep: true})
 	a, b := sched.New("a"), sched.New("b")
 	l.Read(a)
 	l.Read(b)
@@ -316,7 +316,7 @@ func TestTryReadToWriteKeepsReadLockOnRefusal(t *testing.T) {
 }
 
 func TestTryReadToWriteSoloSucceeds(t *testing.T) {
-	l := New(false)
+	l := NewWith(Options{})
 	th := sched.New("t")
 	l.Read(th)
 	if !l.TryReadToWrite(th) {
@@ -329,7 +329,7 @@ func TestTryReadToWriteSoloSucceeds(t *testing.T) {
 }
 
 func TestRecursiveWriteAcquisition(t *testing.T) {
-	l := New(true)
+	l := NewWith(Options{Sleep: true, Recursive: true})
 	th := sched.New("t")
 	l.Write(th)
 	l.SetRecursive(th)
@@ -348,7 +348,7 @@ func TestRecursiveReadBypassesPendingWriter(t *testing.T) {
 	// "the holder's requests are not blocked by a pending write or
 	// upgrade request" — the property that lets the holder drain its
 	// recursion so the writer can eventually proceed.
-	l := New(true)
+	l := NewWith(Options{Sleep: true, Recursive: true})
 	holder := sched.New("holder")
 	l.Write(holder)
 	l.SetRecursive(holder)
@@ -388,7 +388,7 @@ func TestRecursiveReadBypassesPendingWriter(t *testing.T) {
 }
 
 func TestSetRecursiveRequiresWriteHold(t *testing.T) {
-	l := New(true)
+	l := NewWith(Options{Sleep: true, Recursive: true})
 	th := sched.New("t")
 	l.Read(th)
 	defer func() {
@@ -401,7 +401,7 @@ func TestSetRecursiveRequiresWriteHold(t *testing.T) {
 }
 
 func TestRecursiveWriteAfterDowngradeProhibited(t *testing.T) {
-	l := New(true)
+	l := NewWith(Options{Sleep: true, Recursive: true})
 	th := sched.New("t")
 	l.Write(th)
 	l.SetRecursive(th)
@@ -417,7 +417,7 @@ func TestRecursiveWriteAfterDowngradeProhibited(t *testing.T) {
 }
 
 func TestClearRecursiveValidation(t *testing.T) {
-	l := New(true)
+	l := NewWith(Options{Sleep: true, Recursive: true})
 	th, other := sched.New("t"), sched.New("o")
 	l.Write(th)
 	l.SetRecursive(th)
@@ -444,7 +444,7 @@ func TestClearRecursiveValidation(t *testing.T) {
 }
 
 func TestDoneOnUnheldLockPanics(t *testing.T) {
-	l := New(false)
+	l := NewWith(Options{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Done on unheld lock did not panic")
@@ -454,7 +454,7 @@ func TestDoneOnUnheldLockPanics(t *testing.T) {
 }
 
 func TestSleepOptionActuallySleeps(t *testing.T) {
-	l := New(true)
+	l := NewWith(Options{Sleep: true})
 	w := sched.New("w")
 	l.Write(w)
 	reader := sched.Go("r", func(self *sched.Thread) {
@@ -477,7 +477,7 @@ func TestSleepOptionActuallySleeps(t *testing.T) {
 }
 
 func TestSpinModeNeverBlocks(t *testing.T) {
-	l := New(false)
+	l := NewWith(Options{})
 	w := sched.New("w")
 	l.Write(w)
 	reader := sched.Go("r", func(self *sched.Thread) {
@@ -504,7 +504,7 @@ func TestSpinModeNeverBlocks(t *testing.T) {
 func TestMach25UpgradeBugReproduction(t *testing.T) {
 	// With the compat flag set, lock_try_read_to_write blocks (sleeps)
 	// even though the lock's Sleep option is off.
-	l := New(false)
+	l := NewWith(Options{})
 	l.Mach25UpgradeBug = true
 	other := sched.New("other")
 	l.Read(other)
@@ -532,7 +532,7 @@ func TestMach25UpgradeBugReproduction(t *testing.T) {
 
 func TestWriterNotStarvedStress(t *testing.T) {
 	// A flood of readers must not starve a writer (writer priority).
-	l := New(true)
+	l := NewWith(Options{Sleep: true})
 	stop := make(chan struct{})
 	var readerOps atomic.Int64
 	var readers []*sched.Thread
@@ -567,7 +567,7 @@ func TestWriterNotStarvedStress(t *testing.T) {
 func TestMixedStressInvariant(t *testing.T) {
 	// Readers record a snapshot-consistent pair; writers update both
 	// halves. Any torn read proves exclusion failed.
-	l := New(true)
+	l := NewWith(Options{Sleep: true})
 	var a, b int64
 	var violations atomic.Int64
 	var threads []*sched.Thread
@@ -615,7 +615,7 @@ func TestMixedStressInvariant(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	l := New(true)
+	l := NewWith(Options{Sleep: true})
 	th := sched.New("t")
 	l.Read(th)
 	l.Done(th)
@@ -630,7 +630,7 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestConcurrentTryOpsNeverCorrupt(t *testing.T) {
-	l := New(false)
+	l := NewWith(Options{})
 	var wg sync.WaitGroup
 	var held atomic.Int32 // +1 per reader, +1000 per writer
 	for i := 0; i < 8; i++ {

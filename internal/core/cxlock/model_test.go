@@ -120,7 +120,7 @@ func TestModelEquivalenceQuick(t *testing.T) {
 		nOps
 	)
 	f := func(raw []uint8) bool {
-		l := New(false)
+		l := NewWith(Options{Recursive: true})
 		th := sched.New("t")
 		m := &refModel{}
 		for _, r := range raw {

@@ -38,14 +38,9 @@ type Observer interface {
 // disabled fast path stays one atomic load and a nil check per operation.
 var observers atomic.Pointer[[]Observer]
 
-// observersMu serializes list mutations (Add/Remove/SetObserver); event
-// delivery never takes it.
+// observersMu serializes list mutations (Add/Remove); event delivery
+// never takes it.
 var observersMu sync.Mutex
-
-// legacy is the observer installed through the deprecated single-slot
-// SetObserver, so SetObserver(nil) removes exactly that one without
-// disturbing observers added with AddObserver.
-var legacy Observer
 
 // AddObserver appends o to the observer list. Install before the locks
 // being observed are in use; events from operations already in flight may
@@ -67,28 +62,6 @@ func RemoveObserver(o Observer) {
 	observersMu.Lock()
 	defer observersMu.Unlock()
 	removeLocked(o)
-	if legacy == o {
-		legacy = nil
-	}
-}
-
-// SetObserver installs (or, with nil, removes) a single observer in the
-// legacy slot: each call replaces the observer the previous call
-// installed, leaving observers registered via AddObserver untouched.
-//
-// Deprecated: use AddObserver/RemoveObserver, which let the deadlock
-// tracker, the trace layer, and the continuous monitor observe
-// simultaneously instead of silently evicting one another.
-func SetObserver(o Observer) {
-	observersMu.Lock()
-	defer observersMu.Unlock()
-	if legacy != nil {
-		removeLocked(legacy)
-	}
-	legacy = o
-	if o != nil {
-		addLocked(o)
-	}
 }
 
 func addLocked(o Observer) {

@@ -20,7 +20,6 @@ func (c *countObserver) DoneWaiting(l *Lock, t *sched.Thread) { c.doneWaiting.Ad
 
 func drainObservers(t *testing.T) {
 	t.Helper()
-	SetObserver(nil)
 	if obs := observers.Load(); obs != nil {
 		t.Fatalf("test started with observers installed: %d", len(*obs))
 	}
@@ -36,7 +35,7 @@ func TestAddObserverFansOut(t *testing.T) {
 	defer RemoveObserver(b)
 	defer RemoveObserver(c)
 
-	l := New(false)
+	l := NewWith(Options{})
 	self := sched.New("fanout")
 	l.Write(self)
 	l.Done(self)
@@ -57,7 +56,7 @@ func TestRemoveObserverIsSelective(t *testing.T) {
 	defer RemoveObserver(b)
 	RemoveObserver(a)
 
-	l := New(false)
+	l := NewWith(Options{})
 	self := sched.New("selective")
 	l.Read(self)
 	l.Done(self)
@@ -71,55 +70,4 @@ func TestRemoveObserverIsSelective(t *testing.T) {
 	// Removing an observer that is not installed must be a no-op.
 	RemoveObserver(a)
 	RemoveObserver(&countObserver{})
-}
-
-func TestSetObserverLegacySlotCoexists(t *testing.T) {
-	drainObservers(t)
-	added, legacy1, legacy2 := &countObserver{}, &countObserver{}, &countObserver{}
-	AddObserver(added)
-	defer RemoveObserver(added)
-
-	SetObserver(legacy1)
-	l := New(false)
-	self := sched.New("legacy")
-	l.Write(self)
-	l.Done(self)
-	if legacy1.acquired.Load() != 1 || added.acquired.Load() != 1 {
-		t.Fatalf("fan-out with legacy slot broken: legacy=%d added=%d",
-			legacy1.acquired.Load(), added.acquired.Load())
-	}
-
-	// Replacing the legacy observer evicts only the legacy one.
-	SetObserver(legacy2)
-	l.Write(self)
-	l.Done(self)
-	if legacy1.acquired.Load() != 1 {
-		t.Fatalf("replaced legacy observer still receiving events")
-	}
-	if legacy2.acquired.Load() != 1 || added.acquired.Load() != 2 {
-		t.Fatalf("legacy replacement broke fan-out: legacy2=%d added=%d",
-			legacy2.acquired.Load(), added.acquired.Load())
-	}
-
-	// SetObserver(nil) clears the legacy slot, not the whole list.
-	SetObserver(nil)
-	l.Write(self)
-	l.Done(self)
-	if legacy2.acquired.Load() != 1 {
-		t.Fatalf("SetObserver(nil) left legacy observer installed")
-	}
-	if added.acquired.Load() != 3 {
-		t.Fatalf("SetObserver(nil) evicted an AddObserver registration")
-	}
-}
-
-func TestRemoveObserverClearsLegacySlot(t *testing.T) {
-	drainObservers(t)
-	o := &countObserver{}
-	SetObserver(o)
-	RemoveObserver(o) // removing the legacy observer directly must clear the slot
-	SetObserver(nil)  // and this must not double-remove or panic
-	if obs := observers.Load(); obs != nil {
-		t.Fatalf("observer list not empty: %d", len(*obs))
-	}
 }

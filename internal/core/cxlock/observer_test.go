@@ -104,10 +104,10 @@ func (a *auditObserver) check(t *testing.T) {
 // wait events.
 func TestObserverWaitBracketsContendedAcquisition(t *testing.T) {
 	rec := newAuditObserver()
-	SetObserver(rec)
-	defer SetObserver(nil)
+	AddObserver(rec)
+	defer RemoveObserver(rec)
 
-	l := New(true)
+	l := NewWith(Options{Sleep: true})
 	w := sched.New("writer")
 	l.Write(w)
 	readers := make([]*sched.Thread, 3)
@@ -158,10 +158,10 @@ func TestObserverWaitBracketsContendedAcquisition(t *testing.T) {
 // racy if the lock invokes them under insufficient ordering.
 func TestObserverHoldBalanceAcrossUpgradesConcurrent(t *testing.T) {
 	rec := newAuditObserver()
-	SetObserver(rec)
-	defer SetObserver(nil)
+	AddObserver(rec)
+	defer RemoveObserver(rec)
 
-	l := New(true)
+	l := NewWith(Options{Sleep: true})
 	const threads = 8
 	const rounds = 300
 	ths := make([]*sched.Thread, threads)

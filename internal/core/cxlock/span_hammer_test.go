@@ -1,7 +1,7 @@
-package opspan
+package cxlock
 
 // Concurrency hammer for the span engine: many threads open and close
-// spans (with contended lock waits credited through the bridge) while
+// spans (with contended lock waits credited by wait()) while
 // other goroutines continuously read the op-class quantiles and the
 // Prometheus rendering — the machd daemon's steady state, where the
 // scrape endpoint races live span traffic. Run under -race this pins the
@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"machlock/internal/core/cxlock"
 	"machlock/internal/sched"
 	"machlock/internal/trace"
 )
@@ -24,8 +23,6 @@ import (
 func TestSpanHammerWithConcurrentReaders(t *testing.T) {
 	trace.Enable()
 	defer trace.Disable()
-	Install()
-	defer Uninstall()
 
 	const (
 		writers   = 8
@@ -33,17 +30,17 @@ func TestSpanHammerWithConcurrentReaders(t *testing.T) {
 		spansEach = 300
 	)
 
-	op := trace.NewOp("opspantest", t.Name())
-	lock := cxlock.NewWith(cxlock.Options{
+	op := trace.NewOp("cxlocktest", t.Name())
+	lock := NewWith(Options{
 		Sleep: true,
 		Name:  t.Name(),
-		Class: trace.NewClass("opspantest", t.Name()+"-lock", trace.KindComplex),
+		Class: trace.NewClass("cxlocktest", t.Name()+"-lock", trace.KindComplex),
 	})
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 
-	// Writers: spans around contended critical sections, so the bridge's
+	// Writers: spans around contended critical sections, so the
 	// wait-crediting path races the readers too, not just begin/end.
 	threads := make([]*sched.Thread, writers)
 	for i := 0; i < writers; i++ {

@@ -1,16 +1,15 @@
-package opspan
+package cxlock
 
-// Integration tests for the span/lock-wait bridge: real sched threads
-// contend on a real cxlock inside operation spans, and the wait must be
-// credited to the span through the observer fan-out. The raw -race test
-// uses host scheduling; the machsim test re-checks the span accounting
-// invariants over explored schedules.
+// Integration tests for span wait crediting: real sched threads contend
+// on a real lock inside operation spans (trace.BeginSpan), and wait()
+// must credit the time to the span with no install step. The raw -race
+// test uses host scheduling; the machsim test re-checks the span
+// accounting invariants over explored schedules.
 
 import (
 	"testing"
 	"time"
 
-	"machlock/internal/core/cxlock"
 	"machlock/internal/machsim"
 	"machlock/internal/sched"
 	"machlock/internal/trace"
@@ -22,14 +21,12 @@ import (
 func TestSpanCreditsLockWait(t *testing.T) {
 	trace.Enable()
 	defer trace.Disable()
-	Install()
-	defer Uninstall()
 
-	op := trace.NewOp("opspantest", t.Name())
-	l := cxlock.NewWith(cxlock.Options{
+	op := trace.NewOp("cxlocktest", t.Name())
+	l := NewWith(Options{
 		Sleep: true,
 		Name:  t.Name(),
-		Class: trace.NewClass("opspantest", t.Name()+"-lock", trace.KindComplex),
+		Class: trace.NewClass("cxlocktest", t.Name()+"-lock", trace.KindComplex),
 	})
 
 	held := make(chan struct{})
@@ -44,7 +41,7 @@ func TestSpanCreditsLockWait(t *testing.T) {
 		<-held
 		sp := trace.BeginSpan(self, op)
 		start := time.Now()
-		l.Write(self) // blocks ~3ms; the bridge credits the span
+		l.Write(self) // blocks ~3ms; wait() credits the span
 		l.Done(self)
 		spanWait = sp.WaitNs()
 		sp.End()
@@ -65,15 +62,6 @@ func TestSpanCreditsLockWait(t *testing.T) {
 	}
 }
 
-// TestInstallIdempotent: surfaces install the bridge unconditionally, so
-// double install/uninstall must be safe and leave no residue.
-func TestInstallIdempotent(t *testing.T) {
-	Install()
-	Install()
-	Uninstall()
-	Uninstall()
-}
-
 // TestSimSpanNestingWithLockWaits re-runs the nesting + wait-credit shape
 // under machsim's explored schedules: two threads, each opening an outer
 // and inner span and taking a contended sleep lock inside the inner one.
@@ -82,15 +70,13 @@ func TestInstallIdempotent(t *testing.T) {
 func TestSimSpanNestingWithLockWaits(t *testing.T) {
 	trace.Enable()
 	defer trace.Disable()
-	Install()
-	defer Uninstall()
 
-	outerOp := trace.NewOp("opspantest", "sim.outer")
-	innerOp := trace.NewOp("opspantest", "sim.inner")
+	outerOp := trace.NewOp("cxlocktest", "sim.outer")
+	innerOp := trace.NewOp("cxlocktest", "sim.inner")
 
 	scenario := func(s *machsim.Sim) {
-		l := cxlock.NewWith(cxlock.Options{Sleep: true, Name: "opspan.sim"})
-		s.Label(l, "opspan.sim")
+		l := NewWith(Options{Sleep: true, Name: "span.sim"})
+		s.Label(l, "span.sim")
 		before := outerOp.Snapshot().Acquisitions
 		beforeInner := innerOp.Snapshot().Acquisitions
 		body := func(th *sched.Thread) {

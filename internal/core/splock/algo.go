@@ -83,7 +83,7 @@ const (
 
 // NewWith creates a production simple lock from options. A zero Opts is
 // exactly the zero-value Lock. This is the construction path the machlock
-// facade uses; the positional NewSim constructor is deprecated.
+// facade uses.
 func NewWith(o Opts) *Lock {
 	l := new(Lock)
 	l.InitWith(o)

@@ -381,15 +381,6 @@ type SimLock struct {
 	spinLoops    atomic.Int64
 }
 
-// NewSim creates an unlocked simulated simple lock on machine m with the
-// given acquisition policy.
-//
-// Deprecated: use NewSimWith, the options construction path shared with
-// the production lock: NewSimWith(Opts{Machine: m, Algorithm: p}).
-func NewSim(m *hw.Machine, p Policy) *SimLock {
-	return NewSimWith(Opts{Machine: m, Algorithm: p})
-}
-
 // NewSimWith creates an unlocked simulated simple lock from options;
 // o.Machine is required. The lock-word cell's unlocked encoding is
 // policy-specific: 0 for the set-style locks, 1 for test-and-clear.

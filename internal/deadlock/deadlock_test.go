@@ -22,7 +22,7 @@ func withTracker(t *testing.T) *Tracker {
 
 func TestNoCycleOnHealthyLocking(t *testing.T) {
 	tr := withTracker(t)
-	a, b := cxlock.New(true), cxlock.New(true)
+	a, b := cxlock.NewWith(cxlock.Options{Sleep: true}), cxlock.NewWith(cxlock.Options{Sleep: true})
 	tr.Name(a, "A")
 	tr.Name(b, "B")
 	w := sched.Go("w", func(self *sched.Thread) {
@@ -44,7 +44,7 @@ func TestNoCycleOnHealthyLocking(t *testing.T) {
 
 func TestDetectsABBADeadlock(t *testing.T) {
 	tr := withTracker(t)
-	a, b := cxlock.New(true), cxlock.New(true)
+	a, b := cxlock.NewWith(cxlock.Options{Sleep: true}), cxlock.NewWith(cxlock.Options{Sleep: true})
 	tr.Name(a, "A")
 	tr.Name(b, "B")
 
@@ -153,7 +153,7 @@ func TestReleasedBalancesMultisets(t *testing.T) {
 	// Exercise the multiset accounting directly.
 	tr2 := NewTracker()
 	thread := sched.New("x")
-	lock := cxlock.New(false)
+	lock := cxlock.NewWith(cxlock.Options{})
 	tr2.Acquired(lock, thread)
 	tr2.Acquired(lock, thread)
 	tr2.Released(lock, thread)
@@ -171,7 +171,7 @@ func TestReleasedBalancesMultisets(t *testing.T) {
 
 func TestDetectStableFiltersTransients(t *testing.T) {
 	tr := NewTracker()
-	a := cxlock.New(false)
+	a := cxlock.NewWith(cxlock.Options{})
 	t1, t2 := sched.New("t1"), sched.New("t2")
 	// Fabricate a transient: a cycle present now but gone in later
 	// samples.

@@ -13,7 +13,7 @@ import (
 
 func TestWaitGraphDOTRendersHoldsAndWaits(t *testing.T) {
 	tr := NewTracker()
-	a, b := cxlock.New(true), cxlock.New(true)
+	a, b := cxlock.NewWith(cxlock.Options{Sleep: true}), cxlock.NewWith(cxlock.Options{Sleep: true})
 	tr.Name(a, "A")
 	tr.Name(b, "B")
 	t1, t2 := sched.New("t1"), sched.New("t2")
@@ -121,7 +121,7 @@ func TestTrackerSeesBiasedReaders(t *testing.T) {
 // that the tracker's state drains completely once the threads exit.
 func TestDetectStableQuietUnderSpinChurn(t *testing.T) {
 	tr := withTracker(t)
-	a, b := cxlock.New(false), cxlock.New(false) // spin locks: transient waiters
+	a, b := cxlock.NewWith(cxlock.Options{}), cxlock.NewWith(cxlock.Options{}) // spin locks: transient waiters
 	tr.Name(a, "A")
 	tr.Name(b, "B")
 

@@ -5,12 +5,9 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"runtime"
 	"time"
 
-	"machlock/internal/benchjson"
 	"machlock/internal/monitor"
-	"machlock/internal/trace"
 )
 
 // Options configures a daemon.
@@ -75,9 +72,8 @@ func Start(opts Options) (*Daemon, error) {
 		mon:  monitor.New(opts.Monitor),
 	}
 
-	// The monitor first: Start installs the lock observers and the
-	// opspan bridge, so every wait from the very first RPC is credited
-	// to its operation span.
+	// The monitor first: Start enables tracing and installs the lock
+	// observers, so the watchdog sees every hold from the very first RPC.
 	d.mon.Start()
 
 	world, err := NewWorld(opts.World)
@@ -148,103 +144,8 @@ func (d *Daemon) Stop() {
 	d.mon.Stop()
 }
 
-// opForScenario maps a scenario to its server-side operation class name.
-var opForScenario = map[string]string{
-	ScenLookup: "op.lookup",
-	ScenChurn:  "op.port-churn",
-	ScenSpawn:  "op.task-spawn",
-	ScenTouch:  "op.vm-touch",
-	ScenChaos:  "op.chaos",
-}
-
-// IncidentKinds lists the watchdog incident kinds a report covers.
+// IncidentKinds lists the watchdog incident kinds a healthy run must
+// leave at zero.
 var IncidentKinds = []monitor.IncidentKind{
 	monitor.KindDeadlock, monitor.KindLongHold, monitor.KindLongWait, monitor.KindRefLeak,
-}
-
-// Report assembles the run's benchjson trajectory point: client-observed
-// per-scenario quantiles merged with the matching operation spans'
-// wait-vs-work split, the hottest lock classes, and the incident census.
-func (d *Daemon) Report(generatedBy string, elapsed time.Duration) *benchjson.Report {
-	r := benchjson.New("machd", generatedBy, runtime.GOMAXPROCS(0))
-	r.DurationSec = elapsed.Seconds()
-
-	ops := make(map[string]trace.OpProfile)
-	for _, p := range trace.OpProfiles() {
-		if p.Pkg == "machd" {
-			ops[p.Name] = p
-		}
-	}
-
-	sec := elapsed.Seconds()
-	for _, s := range d.col.Snapshot() {
-		if s.Offered == 0 {
-			continue
-		}
-		sc := &benchjson.Scenario{
-			Ops:      s.Done + s.Failed,
-			Errors:   s.Failed,
-			Timeouts: s.TimedOut,
-			Shed:     s.Shed,
-			P50Ns:    s.P50Ns,
-			P90Ns:    s.P90Ns,
-			P99Ns:    s.P99Ns,
-			MaxNs:    s.MaxNs,
-		}
-		if sec > 0 {
-			sc.OpsPerSec = float64(sc.Ops) / sec
-		}
-		if op, ok := ops[opForScenario[s.Name]]; ok {
-			sc.WaitP50Ns = op.P50WaitNs
-			sc.WaitP99Ns = op.P99WaitNs
-			sc.WorkP50Ns = op.P50WorkNs
-			sc.WorkP99Ns = op.P99WorkNs
-		}
-		r.Scenarios[s.Name] = sc
-		r.Totals.Ops += sc.Ops
-		r.Totals.Errors += sc.Errors
-		r.Totals.Timeouts += sc.Timeouts
-	}
-
-	var offered int64
-	for _, s := range d.col.Snapshot() {
-		offered += s.Offered
-	}
-	for name, sc := range r.Scenarios {
-		for _, s := range d.col.Snapshot() {
-			if s.Name == name && offered > 0 {
-				sc.MixShare = float64(s.Offered) / float64(offered)
-			}
-		}
-	}
-	if sec > 0 {
-		r.Totals.OpsPerSec = float64(r.Totals.Ops) / sec
-	}
-
-	const topClasses = 12
-	for i, p := range trace.Ranked() {
-		if i >= topClasses {
-			r.Notes = append(r.Notes,
-				fmt.Sprintf("lock_classes truncated to the %d hottest (of %d ranked)",
-					topClasses, len(trace.Ranked())))
-			break
-		}
-		r.LockClasses = append(r.LockClasses, benchjson.LockClass{
-			Class:          p.Pkg + "/" + p.Name,
-			Kind:           p.Kind.String(),
-			Acquisitions:   p.Acquisitions,
-			Contended:      p.Contended,
-			ContentionRate: p.ContentionRate,
-			WaitP50Ns:      p.P50WaitNs,
-			WaitP90Ns:      p.P90WaitNs,
-			WaitP99Ns:      p.P99WaitNs,
-			HoldP99Ns:      p.P99HoldNs,
-		})
-	}
-
-	r.Incidents = make(map[string]int64, len(IncidentKinds))
-	for _, k := range IncidentKinds {
-		r.Incidents[string(k)] = d.mon.IncidentCount(k)
-	}
-	return r
 }

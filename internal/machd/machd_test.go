@@ -124,7 +124,7 @@ func TestSLOPromGoldenSchema(t *testing.T) {
 // on ephemeral ports, offer a short burst of every scenario over real
 // sockets, and check the SLO surface — quantiles recorded per scenario,
 // the combined scrape carrying lock-class and op families next to the
-// machd families, a validating benchjson report, and no incidents.
+// machd families, and no incidents.
 func TestDaemonEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sustained-load test")
@@ -150,21 +150,19 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every scenario must have been offered and completed work.
-	done := 0
+	// Every scenario was offered, completed work, and recorded ordered
+	// latency quantiles.
 	for _, s := range d.Collector().Snapshot() {
 		if s.Offered == 0 {
 			t.Errorf("scenario %s: never offered", s.Name)
+			continue
 		}
-		if s.Done > 0 {
-			done++
-			if s.P50Ns <= 0 || s.P99Ns < s.P50Ns {
-				t.Errorf("scenario %s: quantiles p50=%d p99=%d", s.Name, s.P50Ns, s.P99Ns)
-			}
+		if s.Done == 0 {
+			t.Errorf("scenario %s: offered %d, completed none", s.Name, s.Offered)
 		}
-	}
-	if done < 4 {
-		t.Fatalf("only %d scenarios completed work", done)
+		if s.P50Ns <= 0 || s.P99Ns < s.P50Ns {
+			t.Errorf("scenario %s: quantiles p50=%d p99=%d", s.Name, s.P50Ns, s.P99Ns)
+		}
 	}
 
 	// The world actually exercised its subsystems.
@@ -199,18 +197,6 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(scrape, `machlock_op_latency_ns{pkg="machd",op="op.lookup",quantile="0.5"}`) {
 		t.Error("scrape missing machd op quantiles")
-	}
-
-	// The trajectory report validates and covers the mix.
-	r := d.Report("machd_test", res.Elapsed)
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Scenarios) < 4 {
-		t.Fatalf("report has %d scenarios", len(r.Scenarios))
-	}
-	if len(r.LockClasses) == 0 {
-		t.Fatal("report has no lock classes")
 	}
 
 	// A healthy run files nothing.

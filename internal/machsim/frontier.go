@@ -5,7 +5,7 @@ package machsim
 // unexplored schedule prefixes (plus, per prefix, its preemption spend and
 // POR sleep set); writing it after a budgeted wave and reading it back next
 // run resumes the search exactly where it stopped instead of re-exploring
-// from the root. Same Validate/Read/Write shape as internal/benchjson.
+// from the root. Same Validate/Read/Write shape as internal/lockgraph.
 
 import (
 	"encoding/json"

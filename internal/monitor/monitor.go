@@ -25,7 +25,6 @@ import (
 
 	"machlock/internal/core/splock"
 	"machlock/internal/deadlock"
-	"machlock/internal/opspan"
 	"machlock/internal/trace"
 )
 
@@ -175,8 +174,8 @@ func (m *Monitor) Running() bool {
 }
 
 // Start enables tracing (if it was off), installs the deadlock tracker as
-// a cxlock observer, the span-wait bridge (internal/opspan), and the
-// simple-lock census observer, and launches the watchdog goroutine.
+// a cxlock observer and the simple-lock census observer, and launches the
+// watchdog goroutine.
 // Idempotent while running.
 func (m *Monitor) Start() {
 	m.mu.Lock()
@@ -189,7 +188,6 @@ func (m *Monitor) Start() {
 		m.ownTrace = true
 	}
 	m.tracker.Install()
-	opspan.Install()
 	splock.AddObserver(&m.spc)
 	m.stop = make(chan struct{})
 	m.done = make(chan struct{})
@@ -216,7 +214,6 @@ func (m *Monitor) Stop() {
 
 	m.tracker.Uninstall()
 	splock.RemoveObserver(&m.spc)
-	opspan.Uninstall()
 	m.mu.Lock()
 	if m.ownTrace {
 		trace.Disable()

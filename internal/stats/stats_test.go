@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -71,8 +73,8 @@ func TestHistogramQuantile(t *testing.T) {
 		h.Observe(10)
 	}
 	h.Observe(100000)
-	// p50 must be in 10's bucket (power-of-two resolution: 8).
-	if q := h.Quantile(0.5); q > 16 {
+	// Values below 16 have a bucket each: p50 is exact.
+	if q := h.Quantile(0.5); q != 10 {
 		t.Fatalf("p50 = %d", q)
 	}
 	// p100 lands in the top populated bucket.
@@ -94,6 +96,72 @@ func TestHistogramNonPositive(t *testing.T) {
 	}
 	if q := h.Quantile(0.5); q != 0 {
 		t.Fatalf("quantile of non-positive samples = %d", q)
+	}
+}
+
+// TestHistogramRelativeError: a sample anywhere from 1ns to 10s reads
+// back within 4% (the log-linear design bound is 1/32), the bucket map is
+// monotone and contiguous across that range, and Reset forgets everything.
+func TestHistogramRelativeError(t *testing.T) {
+	var h Histogram
+	prev := 0
+	for v := int64(1); v <= 10_000_000_000; v += max(v/97, 1) {
+		for _, s := range []int64{v, v + v/3, 2*v - 1} {
+			h.Observe(s)
+			h.Observe(1 << 62) // keeps the Max cap from hiding the bucket error
+			got := h.Quantile(0.5)
+			if err := math.Abs(float64(got-s)) / float64(s); err > 0.04 {
+				t.Fatalf("sample %d read back as %d (%.1f%% off)", s, got, 100*err)
+			}
+			h.Reset()
+			if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
+				t.Fatalf("Reset after %d left state behind", s)
+			}
+		}
+		b := bucketFor(v)
+		if b < prev || b > prev+1 {
+			t.Fatalf("bucket map not monotone/contiguous at %d: %d after %d", v, b, prev)
+		}
+		prev = b
+	}
+	if b := bucketFor(math.MaxInt64); b != numBuckets-1 {
+		t.Fatalf("MaxInt64 lands in bucket %d of %d", b, numBuckets)
+	}
+}
+
+// TestHistogramQuantilesMonotone: over a spread of latencies the quantile
+// estimates are ordered and each is within 4% of the exact order statistic.
+func TestHistogramQuantilesMonotone(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		sample func(i int) int64
+	}{
+		{"linear-us", func(i int) int64 { return int64(1000 + 37*i) }},
+		{"geometric", func(i int) int64 { return int64(50 * math.Pow(1.002, float64(i))) }},
+		{"bimodal", func(i int) int64 { return int64(90_000 + i%100 + (i%10/9)*4_000_000) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 10_000
+			var h Histogram
+			exact := make([]int64, n)
+			for i := range exact {
+				exact[i] = tc.sample(i)
+				h.Observe(exact[i])
+			}
+			slices.Sort(exact)
+			var prev int64
+			for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
+				got := h.Quantile(q)
+				want := exact[int(math.Ceil(q*n))-1]
+				if got < prev {
+					t.Errorf("q%.3f = %d below the previous quantile %d", q, got, prev)
+				}
+				if err := math.Abs(float64(got-want)) / float64(want); err > 0.04 {
+					t.Errorf("q%.3f = %d, exact %d (%.1f%% off)", q, got, want, 100*err)
+				}
+				prev = got
+			}
+		})
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // (version 0.0.4): one metric family per accounting dimension, one sample
 // per registered class, labelled {pkg, class, kind}. Hold and wait
 // latencies are exposed summary-style — quantile-labelled gauges plus
-// _max and _mean — because the underlying power-of-two histograms already
+// _max and _mean — because the underlying log-linear histograms already
 // reduce to quantiles; the process-wide hierarchy-violation counter and
 // the per-class live census ride along. This is the scrape target behind
 // /debug/machlock/metrics.

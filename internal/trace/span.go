@@ -13,10 +13,11 @@ import (
 // the waiting thread (and propagate outward when it ends, since a parent's
 // wall clock contains its children's waits).
 //
-// Wait crediting arrives through the lock observers — see
-// internal/opspan, which bridges the cxlock observer fan-out to
-// SpanWaitStart/SpanWaitEnd — so span accounting adds nothing to lock hot
-// paths: with no span open the bridge is one atomic load.
+// Wait crediting arrives from the complex lock itself: cxlock's wait path
+// brackets every wait by an identified thread with SpanWaitStart/
+// SpanWaitEnd, so a span is credited whenever one is open — no install
+// step — and span accounting adds nothing to lock hot paths: with no span
+// open each hook is one atomic load, and wait is off every fast path.
 
 // thread registry -----------------------------------------------------------
 
@@ -186,9 +187,9 @@ func CurrentSpan(owner any) *Span {
 	return nil
 }
 
-// SpanWaitStart marks the beginning of a lock wait by owner. Called by the
-// observer bridge (internal/opspan) from the waiting thread itself, so the
-// span's fields need no synchronization. One atomic load when no spans are
+// SpanWaitStart marks the beginning of a lock wait by owner. Called by
+// cxlock's wait path from the waiting thread itself, so the span's fields
+// need no synchronization. One atomic load when no spans are
 // open anywhere.
 func SpanWaitStart(owner any) {
 	if openSpans.Load() == 0 || owner == nil {

@@ -359,7 +359,7 @@ func (c *Class) Live() int64 {
 }
 
 // HoldQuantile returns the q-th quantile of the class's hold-time samples
-// in nanoseconds (accurate to a power of two, like stats.Histogram).
+// in nanoseconds (within ~3%, like stats.Histogram).
 func (c *Class) HoldQuantile(q float64) int64 {
 	if c == nil {
 		return 0

@@ -111,7 +111,7 @@ func TestZeroCapacityPanics(t *testing.T) {
 func TestAllocUnderSleepLockIsLegal(t *testing.T) {
 	z := NewZone[element]("el", 1, nil)
 	held, _ := z.TryAlloc()
-	l := cxlock.New(true)
+	l := cxlock.NewWith(cxlock.Options{Sleep: true})
 
 	done := make(chan struct{})
 	holder := sched.Go("holder", func(self *sched.Thread) {

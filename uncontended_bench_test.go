@@ -106,8 +106,7 @@ func BenchmarkUncontendedComplexReadBiasedSlowPath(b *testing.B) {
 // registered with the observability layer, tracing off.
 func BenchmarkUncontendedComplexReadClassed(b *testing.B) {
 	trace.Disable()
-	l := cxlock.NewWith(cxlock.Options{})
-	l.SetClass(trace.NewClass("bench", "bench.cx", trace.KindComplex))
+	l := cxlock.NewWith(cxlock.Options{Class: trace.NewClass("bench", "bench.cx", trace.KindComplex)})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.Read(nil)
@@ -117,20 +116,7 @@ func BenchmarkUncontendedComplexReadClassed(b *testing.B) {
 
 func BenchmarkUncontendedComplexWriteClassed(b *testing.B) {
 	trace.Disable()
-	l := cxlock.NewWith(cxlock.Options{})
-	l.SetClass(trace.NewClass("bench", "bench.cx", trace.KindComplex))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Write(nil)
-		l.Done(nil)
-	}
-}
-
-// BenchmarkUncontendedStatRW measures the always-on complex statistics
-// variant added with the observability layer.
-func BenchmarkUncontendedStatRW(b *testing.B) {
-	trace.Disable()
-	l := cxlock.NewStatRW("bench.statrw", false)
+	l := cxlock.NewWith(cxlock.Options{Class: trace.NewClass("bench", "bench.cx", trace.KindComplex)})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.Write(nil)
