@@ -42,12 +42,15 @@ sim:
 		./internal/machsim/ ./internal/machsim/scenarios/ ./internal/core/... \
 		./internal/kern/ ./internal/sched/ ./internal/pmap/ ./internal/ipc/
 
-# Seed-corpus pass over the machsim fuzz targets (cxlock option combos,
-# refcount clone/release sequences, engine-found replay schedules). For a
-# real fuzzing session:
+# Seed-corpus pass over every fuzz target: the machsim ones (cxlock option
+# combos, refcount clone/release sequences, engine-found replay schedules)
+# and the two decoders of bytes that arrive over the network (mig payloads,
+# netmsg frames). Also run in CI. For a real fuzzing session:
 #   go test ./internal/core/cxlock/ -run '^$$' -fuzz FuzzSimCxlockOptions
+#   go test ./internal/netmsg/ -run '^$$' -fuzz FuzzNetmsgFrame
 fuzz-smoke:
-	$(GO) test -run 'FuzzSim' ./internal/core/cxlock/ ./internal/core/refcount/ ./internal/machsim/
+	$(GO) test -run 'Fuzz' ./internal/core/cxlock/ ./internal/core/refcount/ ./internal/machsim/ \
+		./internal/mig/ ./internal/netmsg/
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): four
 # closed-loop workloads, every metric printed by name and unit, result

@@ -2,7 +2,9 @@ package netmsg
 
 import (
 	"errors"
+	"math"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -87,12 +89,37 @@ func TestTransparentCallThroughProxy(t *testing.T) {
 	// Plain ipc.Call against the PROXY port — the caller cannot tell it
 	// is remote.
 	self := sched.New("client")
-	resp, err := ipc.Call(self, proxy, opEcho, "hello", int64(42))
+	body := []any{"hello", int64(42), []byte{0, 0xff}, int(-7), uint64(math.MaxUint64), math.Pi, true}
+	resp, err := ipc.Call(self, proxy, opEcho, body...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Body[0] != "hello" || resp.Body[1] != int64(42) {
-		t.Fatalf("body = %+v", resp.Body)
+	if !reflect.DeepEqual(resp.Body, body) {
+		t.Fatalf("body = %#v, want %#v", resp.Body, body)
+	}
+	resp.Destroy()
+}
+
+// TestUnencodableBodyFailsOnlyItsCall: a body item with no wire form fails
+// its own call, and the connection carries the next one.
+func TestUnencodableBodyFailsOnlyItsCall(t *testing.T) {
+	target, stop := startService(t)
+	defer stop()
+	proxy, stopProxy := pipePair(t, target)
+	defer stopProxy()
+
+	self := sched.New("client")
+	resp, err := ipc.Call(self, proxy, opEcho, struct{}{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Err == nil || errors.Is(resp.Err, ErrConnection) {
+		t.Fatalf("resp.Err = %v, want an encoding error", resp.Err)
+	}
+	resp.Destroy()
+	resp, err = ipc.Call(self, proxy, opEcho, "still here")
+	if err != nil || resp.Err != nil || resp.Body[0] != "still here" {
+		t.Fatalf("next call: %+v, %v", resp, err)
 	}
 	resp.Destroy()
 }
@@ -185,6 +212,36 @@ func TestBrokenTransportReturnsConnectionError(t *testing.T) {
 		t.Fatalf("resp.Err = %v, want ErrConnection", resp.Err)
 	}
 	resp.Destroy()
+}
+
+// TestBrokenProxyKeepsAnswering: once the transport breaks, every later
+// call through the proxy fails with ErrConnection; none waits forever on a
+// forwarder that stopped receiving.
+func TestBrokenProxyKeepsAnswering(t *testing.T) {
+	c1, c2 := net.Pipe()
+	proxy := ProxyConn(c1, "broken")
+	defer proxy.Destroy()
+	c2.Close()
+
+	for i := 0; i < 3; i++ {
+		done := make(chan error, 1)
+		go func() {
+			resp, err := ipc.Call(sched.New("client"), proxy, opEcho, "x")
+			if err == nil {
+				err = resp.Err
+				resp.Destroy()
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrConnection) {
+				t.Fatalf("call %d: err = %v, want ErrConnection", i, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("call %d after the break got no reply in 2s", i)
+		}
+	}
 }
 
 // TestExportShutdownTerminatesConns: closing the listener must terminate
