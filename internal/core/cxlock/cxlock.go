@@ -106,8 +106,9 @@ type Lock struct {
 	// nil means untraced. Immutable after InitWith.
 	class *trace.Class
 	// acquiredAt stamps the current hold occupancy (first reader in, or
-	// writer in) in ns; protected by the interlock, nonzero only while
-	// instrumented.
+	// writer in) with the trace clock (trace.Now), the same reading the
+	// grant's acquire event carries; protected by the interlock, nonzero
+	// only while instrumented.
 	acquiredAt int64
 	// hold is the sampled identity of the current occupancy's first
 	// holder, published for waiters to blame (trace.Class.BlameWait) and
@@ -128,9 +129,10 @@ func tidOf(t *sched.Thread) uint32 {
 // recordAcquired feeds one granted hold to the class profile; called
 // outside the interlock, like the observer hooks. Contended acquisitions
 // also feed the waiter-side site profile (sampled). Hot paths gate the
-// call on class.On() — one atomic load on the common (untraced) path.
-func (l *Lock) recordAcquired(t *sched.Thread, contended bool, waitNs int64) {
-	l.class.AcquiredBy(tidOf(t), contended, waitNs)
+// call on class.On() — one atomic load on the common (untraced) path. now
+// is the grant's trace-clock reading (0: the event takes its own).
+func (l *Lock) recordAcquired(t *sched.Thread, now int64, contended bool, waitNs int64) {
+	l.class.AcquiredAt(now, tidOf(t), contended, waitNs)
 	if contended && waitNs > 0 {
 		l.class.WaitSampled(1, waitNs)
 	}
@@ -139,9 +141,10 @@ func (l *Lock) recordAcquired(t *sched.Thread, contended bool, waitNs int64) {
 // recordReleased feeds one release; holdNs < 0 means no occupancy sample
 // ended with this release (e.g. a reader left while others remain). h is
 // the holder identity the occupancy published, if any — its hold duration
-// lands in the class's hold-site profile.
-func (l *Lock) recordReleased(t *sched.Thread, holdNs int64, h *trace.HoldInfo) {
-	l.class.ReleasedBy(tidOf(t), holdNs)
+// lands in the class's hold-site profile. now is the reading holdNs was
+// measured at (0 when no occupancy ended: the event takes its own).
+func (l *Lock) recordReleased(t *sched.Thread, now, holdNs int64, h *trace.HoldInfo) {
+	l.class.ReleasedAt(now, tidOf(t), holdNs)
 	if holdNs >= 0 {
 		l.class.EndHold(h, holdNs)
 	}
@@ -151,18 +154,11 @@ func (l *Lock) recordReleased(t *sched.Thread, holdNs int64, h *trace.HoldInfo) 
 // capture the acquiring stack and publish it on l.hold for waiters to
 // read. Call only for the grant that starts an occupancy (writer in, or
 // first reader in) — later readers share the first-in holder's blame.
-// The On() gate here inlines into the grant paths, so untraced locks pay
-// one predictable branch rather than a call chain.
-func (l *Lock) publishHold(t *sched.Thread) {
-	if !l.class.On() {
-		return
-	}
-	l.publishHoldSampled(t)
-}
-
-func (l *Lock) publishHoldSampled(t *sched.Thread) {
-	if h := l.class.SampleHold(2, tidOf(t)); h != nil {
-		h.Since = nowNs()
+// Every caller is already behind its grant's On() check, so untraced
+// locks never reach this call. now is the occupancy's hold stamp.
+func (l *Lock) publishHold(t *sched.Thread, now int64) {
+	if h := l.class.SampleHold(1, tidOf(t)); h != nil {
+		h.Since = now
 		l.hold.Store(h)
 	}
 }
@@ -180,9 +176,12 @@ func (l *Lock) takeHold() *trace.HoldInfo { return l.hold.Swap(nil) }
 // identity; inlines to one atomic load.
 func (l *Lock) holdPublished() bool { return l.hold.Load() != nil }
 
-// nowNs is the package clock: the machsim virtual clock when a harness is
+// nowNs is the protocol clock: the machsim virtual clock when a harness is
 // installed (so time-dependent protocol state — the bias re-arm cooldown —
-// is deterministic under schedule exploration), else the host clock.
+// is deterministic under schedule exploration), else the host clock. It is
+// for the bias cooldown only; every trace stamp (hold stamps, events,
+// HoldInfo.Since) is a trace.Now reading, so the flight recorder stays on
+// one timebase under a harness too.
 func nowNs() int64 {
 	if n, ok := simhook.NowNs(); ok {
 		return n
@@ -217,11 +216,11 @@ func (l *Lock) CanSleep() bool {
 // interlock and must have set l.waiting when sleeping (done here).
 func (l *Lock) wait(t *sched.Thread, round int) {
 	tr := l.class.On()
-	var start time.Time
+	var start int64
 	var blamed *trace.HoldInfo
 	var tid uint32
 	if tr {
-		start = time.Now()
+		start = trace.Now()
 		tid = tidOf(t)
 		// Blame is pinned to the holder visible when the wait begins: by
 		// the time the wait ends the lock may have changed hands, but the
@@ -240,7 +239,7 @@ func (l *Lock) wait(t *sched.Thread, round int) {
 		l.interlock.Unlock()
 		obWaiting(l, t)
 		trace.SpanWaitStart(t) // park implies t != nil
-		l.class.WaitingBy(tid)
+		l.class.WaitingAt(start, tid)
 		sched.ThreadBlock(t)
 	} else {
 		l.stats.spins.Add(1)
@@ -253,7 +252,7 @@ func (l *Lock) wait(t *sched.Thread, round int) {
 		if t != nil {
 			trace.SpanWaitStart(t)
 		}
-		l.class.WaitingBy(tid)
+		l.class.WaitingAt(start, tid)
 		if simhook.Enabled() {
 			// One spin iteration is a voluntary machsim yield: the
 			// interlock has been released, so the harness is free to run
@@ -270,8 +269,9 @@ func (l *Lock) wait(t *sched.Thread, round int) {
 		trace.SpanWaitEnd(t)
 	}
 	if tr {
-		waitNs := time.Since(start).Nanoseconds()
-		l.class.DoneWaitingBy(tid, waitNs)
+		now := trace.Now()
+		waitNs := now - start
+		l.class.DoneWaitingAt(now, tid, waitNs)
 		l.class.BlameWait(blamed, waitNs)
 	}
 	l.interlock.Lock() //machlock:holds — handoff: wait() returns with the interlock reacquired for its caller
@@ -308,7 +308,7 @@ func (l *Lock) wakeupLocked() {
 func (l *Lock) Write(t *sched.Thread) {
 	simhook.Yield(simhook.CxWrite, l)
 	instr := l.class.On()
-	var waitStart time.Time
+	var waitStart, now int64
 	waited := false
 	l.interlock.Lock()
 	if t != nil && l.holder == t {
@@ -325,7 +325,7 @@ func (l *Lock) Write(t *sched.Thread) {
 		l.interlock.Unlock()
 		obAcquired(l, t)
 		if instr {
-			l.recordAcquired(t, false, 0)
+			l.recordAcquired(t, 0, false, 0)
 		}
 		return
 	}
@@ -335,7 +335,7 @@ func (l *Lock) Write(t *sched.Thread) {
 	round := 0
 	for l.wantWrite {
 		if instr && !waited {
-			waitStart = time.Now()
+			waitStart = trace.Now()
 			waited = true
 		}
 		l.wait(t, round)
@@ -353,7 +353,7 @@ func (l *Lock) Write(t *sched.Thread) {
 	// standing in the lock.
 	for l.readCount != 0 || l.wantUpgrade || l.biasReadersVisible() {
 		if instr && !waited {
-			waitStart = time.Now()
+			waitStart = trace.Now()
 			waited = true
 		}
 		l.wait(t, round)
@@ -363,22 +363,23 @@ func (l *Lock) Write(t *sched.Thread) {
 	l.stats.writes.Add(1)
 	simhook.Note(simhook.CxWriteGrant, l, 0)
 	if instr {
-		l.acquiredAt = nowNs()
+		now = trace.Now()
+		l.acquiredAt = now
 	}
 	l.interlock.Unlock()
 	if instr {
 		// instr false means the class is off, so the untraced grant
 		// path skips even the sampling branch.
-		l.publishHold(t)
+		l.publishHold(t, now)
 	}
 	obAcquired(l, t)
 	simhook.Yield(simhook.CxAcquired, l)
 	if instr {
 		var waitNs int64
 		if waited {
-			waitNs = time.Since(waitStart).Nanoseconds()
+			waitNs = now - waitStart
 		}
-		l.recordAcquired(t, waited, waitNs)
+		l.recordAcquired(t, now, waited, waitNs)
 	}
 }
 
@@ -393,27 +394,30 @@ func (l *Lock) Read(t *sched.Thread) {
 		return
 	}
 	instr := l.class.On()
-	var waitStart time.Time
+	var waitStart, now int64
 	waited := false
 	l.interlock.Lock()
 	if t != nil && l.holder == t {
 		l.readCount++
 		l.stats.reads.Add(1)
 		simhook.Note(simhook.CxReadGrantRec, l, int64(l.readCount))
-		if instr && l.acquiredAt == 0 {
-			l.acquiredAt = nowNs()
+		if instr {
+			now = trace.Now()
+			if l.acquiredAt == 0 {
+				l.acquiredAt = now
+			}
 		}
 		l.interlock.Unlock()
 		obAcquired(l, t)
 		if instr {
-			l.recordAcquired(t, false, 0)
+			l.recordAcquired(t, now, false, 0)
 		}
 		return
 	}
 	round := 0
 	for l.wantWrite || l.wantUpgrade {
 		if instr && !waited {
-			waitStart = time.Now()
+			waitStart = trace.Now()
 			waited = true
 		}
 		l.wait(t, round)
@@ -426,21 +430,24 @@ func (l *Lock) Read(t *sched.Thread) {
 	// Occupancy: the hold sample spans from the first reader in to the
 	// last reader out, so only the 0→1 transition stamps the clock.
 	first := l.readCount == 1
-	if instr && first {
-		l.acquiredAt = nowNs()
+	if instr {
+		now = trace.Now()
+		if first {
+			l.acquiredAt = now
+		}
 	}
 	l.interlock.Unlock()
 	if instr && first {
-		l.publishHold(t)
+		l.publishHold(t, now)
 	}
 	obAcquired(l, t)
 	simhook.Yield(simhook.CxAcquired, l)
 	if instr {
 		var waitNs int64
 		if waited {
-			waitNs = time.Since(waitStart).Nanoseconds()
+			waitNs = now - waitStart
 		}
-		l.recordAcquired(t, waited, waitNs)
+		l.recordAcquired(t, now, waited, waitNs)
 	}
 }
 
@@ -485,9 +492,11 @@ func (l *Lock) ReadToWrite(t *sched.Thread) bool {
 		l.stats.failedUpgrades.Add(1)
 		simhook.Note(simhook.CxUpgradeFail, l, int64(l.readCount))
 		holdNs := int64(-1)
+		var now int64
 		var h *trace.HoldInfo
 		if instr && l.readCount == 0 && l.acquiredAt != 0 {
-			holdNs = nowNs() - l.acquiredAt
+			now = trace.Now()
+			holdNs = now - l.acquiredAt
 			l.acquiredAt = 0
 			if l.holdPublished() {
 				h = l.takeHold()
@@ -498,7 +507,7 @@ func (l *Lock) ReadToWrite(t *sched.Thread) bool {
 		obReleased(l, t)
 		l.class.Upgraded(false)
 		if instr {
-			l.recordReleased(t, holdNs, h)
+			l.recordReleased(t, now, holdNs, h)
 		}
 		return true
 	}
@@ -516,11 +525,12 @@ func (l *Lock) ReadToWrite(t *sched.Thread) bool {
 	// occupancy while we drained, restart the stamp for the write hold.
 	restamped := instr && l.acquiredAt == 0
 	if restamped {
-		l.acquiredAt = nowNs()
+		l.acquiredAt = trace.Now()
 	}
+	at := l.acquiredAt
 	l.interlock.Unlock()
 	if restamped {
-		l.publishHold(t)
+		l.publishHold(t, at)
 	}
 	l.class.Upgraded(true)
 	simhook.Yield(simhook.CxAcquired, l)
@@ -588,13 +598,15 @@ func (l *Lock) Done(t *sched.Thread) {
 		panic("cxlock: lock_done on lock not held")
 	}
 	holdNs := int64(-1)
+	var now int64
 	var h *trace.HoldInfo
 	// A published hold implies the occupancy was instrumented (publishing
 	// requires the class to be on), so the stamp
 	// check also guards the hold retire — the untraced release path pays
 	// nothing here.
 	if endHold && l.acquiredAt != 0 {
-		holdNs = nowNs() - l.acquiredAt
+		now = trace.Now()
+		holdNs = now - l.acquiredAt
 		l.acquiredAt = 0
 		if l.holdPublished() {
 			h = l.takeHold()
@@ -604,7 +616,7 @@ func (l *Lock) Done(t *sched.Thread) {
 	l.interlock.Unlock()
 	obReleased(l, t)
 	if instr {
-		l.recordReleased(t, holdNs, h)
+		l.recordReleased(t, now, holdNs, h)
 	}
 }
 
@@ -620,18 +632,22 @@ func (l *Lock) TryRead(t *sched.Thread) bool {
 		return true
 	}
 	instr := l.class.On()
+	var now int64
 	l.interlock.Lock()
 	defer l.interlock.Unlock()
 	if t != nil && l.holder == t {
 		l.readCount++
 		l.stats.reads.Add(1)
 		simhook.Note(simhook.CxReadGrantRec, l, int64(l.readCount))
-		if instr && l.acquiredAt == 0 {
-			l.acquiredAt = nowNs()
+		if instr {
+			now = trace.Now()
+			if l.acquiredAt == 0 {
+				l.acquiredAt = now
+			}
 		}
 		defer obAcquired(l, t)
 		if instr {
-			defer l.recordAcquired(t, false, 0)
+			defer l.recordAcquired(t, now, false, 0)
 		}
 		return true
 	}
@@ -642,13 +658,16 @@ func (l *Lock) TryRead(t *sched.Thread) bool {
 	l.stats.reads.Add(1)
 	simhook.Note(simhook.CxReadGrant, l, int64(l.readCount))
 	l.maybeRearmLocked()
-	if l.readCount == 1 && instr {
-		l.acquiredAt = nowNs()
-		defer l.publishHold(t)
+	if instr {
+		now = trace.Now()
+		if l.readCount == 1 {
+			l.acquiredAt = now
+			defer l.publishHold(t, now)
+		}
 	}
 	defer obAcquired(l, t)
 	if instr {
-		defer l.recordAcquired(t, false, 0)
+		defer l.recordAcquired(t, now, false, 0)
 	}
 	return true
 }
@@ -672,7 +691,7 @@ func (l *Lock) TryWrite(t *sched.Thread) bool {
 		simhook.Note(simhook.CxRecurseGrant, l, int64(l.depth))
 		defer obAcquired(l, t)
 		if instr {
-			defer l.recordAcquired(t, false, 0)
+			defer l.recordAcquired(t, 0, false, 0)
 		}
 		return true
 	}
@@ -693,13 +712,15 @@ func (l *Lock) TryWrite(t *sched.Thread) bool {
 	l.wantWrite = true
 	l.stats.writes.Add(1)
 	simhook.Note(simhook.CxWriteGrant, l, 0)
+	var now int64
 	if instr {
-		l.acquiredAt = nowNs()
-		defer l.publishHold(t)
+		now = trace.Now()
+		l.acquiredAt = now
+		defer l.publishHold(t, now)
 	}
 	defer obAcquired(l, t)
 	if instr {
-		defer l.recordAcquired(t, false, 0)
+		defer l.recordAcquired(t, now, false, 0)
 	}
 	return true
 }
@@ -759,11 +780,12 @@ func (l *Lock) TryReadToWrite(t *sched.Thread) bool {
 	simhook.Note(simhook.CxUpgradeGrant, l, 0)
 	restamped := l.class.On() && l.acquiredAt == 0
 	if restamped {
-		l.acquiredAt = nowNs()
+		l.acquiredAt = trace.Now()
 	}
+	at := l.acquiredAt
 	l.interlock.Unlock()
 	if restamped {
-		l.publishHold(t)
+		l.publishHold(t, at)
 	}
 	l.class.Upgraded(true)
 	simhook.Yield(simhook.CxAcquired, l)

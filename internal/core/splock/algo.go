@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"machlock/internal/hw"
 	"machlock/internal/machsim/simhook"
@@ -250,35 +249,37 @@ func spinYield(l *Lock) {
 }
 
 // tracedStart captures the wait-timing state the trace layer needs before
-// a contended wait: the wall start and the holder pinned for blame.
-func (l *Lock) tracedStart() (start time.Time, blamed *trace.HoldInfo, traced bool) {
+// a contended wait: the trace-clock start (also the wait event's stamp)
+// and the holder pinned for blame. start is 0 when tracing is off.
+func (l *Lock) tracedStart() (start int64, blamed *trace.HoldInfo) {
 	if !l.class.On() {
-		return time.Time{}, nil, false
+		return 0, nil
 	}
 	blamed = l.hold.Load()
-	l.class.Waiting()
-	return time.Now(), blamed, true
+	start = trace.Now()
+	l.class.WaitingAt(start, 0)
+	return start, blamed
 }
 
 // acquired finishes an acquisition on every algorithm path: it mirrors
 // the held state into l.state (for Locked and the unlock sanity check),
 // stamps/publishes trace state, and fans out to observers. contended
-// reports whether the acquirer waited; traced whether tracedStart ran.
-func (l *Lock) acquired(contended, traced bool, start time.Time, blamed *trace.HoldInfo) {
+// reports whether the acquirer waited; start is tracedStart's stamp (0 if
+// it did not run). One clock reading stamps the hold and its events.
+func (l *Lock) acquired(contended bool, start int64, blamed *trace.HoldInfo) {
 	atomic.StoreInt32(&l.state, 1)
 	if l.class.On() {
-		if traced {
-			waitNs := time.Since(start).Nanoseconds()
-			l.acquiredAt = time.Now().UnixNano()
-			l.publishHold()
-			l.class.DoneWaiting(waitNs)
+		now := trace.Now()
+		l.acquiredAt = now
+		l.publishHold(now)
+		if start != 0 {
+			waitNs := now - start
+			l.class.DoneWaitingAt(now, 0, waitNs)
 			l.class.BlameWait(blamed, waitNs)
-			l.class.Acquired(true, waitNs)
+			l.class.AcquiredAt(now, 0, true, waitNs)
 			l.class.WaitSampled(1, waitNs)
 		} else {
-			l.acquiredAt = time.Now().UnixNano()
-			l.publishHold()
-			l.class.Acquired(false, 0)
+			l.class.AcquiredAt(now, 0, false, 0)
 		}
 	}
 	simhook.Note(simhook.SpAcquired, l, 0)
@@ -298,15 +299,17 @@ func (l *Lock) releasing() {
 	}
 	if l.class != nil {
 		holdNs := int64(-1)
+		var now int64
 		var h *trace.HoldInfo
 		if at := l.acquiredAt; at != 0 {
 			l.acquiredAt = 0
-			holdNs = time.Now().UnixNano() - at
+			now = trace.Now()
+			holdNs = now - at
 			if l.hold.Load() != nil {
 				h = l.hold.Swap(nil)
 			}
 		}
-		l.class.Released(holdNs)
+		l.class.ReleasedAt(now, 0, holdNs)
 		if holdNs >= 0 {
 			l.class.EndHold(h, holdNs)
 		}
@@ -350,7 +353,7 @@ func (a *algoState) trylock(l *Lock) bool {
 		if !atomic.CompareAndSwapInt32(&l.state, 0, 1) {
 			return false
 		}
-		l.acquired(false, false, time.Time{}, nil)
+		l.acquired(false, 0, nil)
 		return true
 	case Queue, Adaptive:
 		return a.trylockQueue(l)
@@ -367,14 +370,14 @@ func (a *algoState) trylock(l *Lock) bool {
 // modeling; the coherence-faithful inverted encoding lives in SimLock.)
 func (a *algoState) lockTAS(l *Lock) {
 	if atomic.CompareAndSwapInt32(&l.state, 0, 1) {
-		l.acquired(false, false, time.Time{}, nil)
+		l.acquired(false, 0, nil)
 		return
 	}
-	start, blamed, traced := l.tracedStart()
+	start, blamed := l.tracedStart()
 	obWaiting(l)
 	for {
 		if atomic.CompareAndSwapInt32(&l.state, 0, 1) {
-			l.acquired(true, traced, start, blamed)
+			l.acquired(true, start, blamed)
 			return
 		}
 		spinYield(l)
@@ -386,15 +389,15 @@ func (a *algoState) lockTAS(l *Lock) {
 func (a *algoState) lockTTAS(l *Lock) {
 	if atomic.LoadInt32(&l.state) == 0 &&
 		atomic.CompareAndSwapInt32(&l.state, 0, 1) {
-		l.acquired(false, false, time.Time{}, nil)
+		l.acquired(false, 0, nil)
 		return
 	}
-	start, blamed, traced := l.tracedStart()
+	start, blamed := l.tracedStart()
 	obWaiting(l)
 	for {
 		if atomic.LoadInt32(&l.state) == 0 &&
 			atomic.CompareAndSwapInt32(&l.state, 0, 1) {
-			l.acquired(true, traced, start, blamed)
+			l.acquired(true, start, blamed)
 			return
 		}
 		spinYield(l)
@@ -415,15 +418,15 @@ func (a *algoState) lockQueue(l *Lock) {
 	if prev == nil {
 		// Queue was empty: we are the holder with no predecessor.
 		a.cur = n
-		l.acquired(false, false, time.Time{}, nil)
+		l.acquired(false, 0, nil)
 		return
 	}
-	start, blamed, traced := l.tracedStart()
+	start, blamed := l.tracedStart()
 	obWaiting(l)
 	prev.next.Store(n)
 	a.waitOnNode(l, n)
 	a.cur = n
-	l.acquired(true, traced, start, blamed)
+	l.acquired(true, start, blamed)
 }
 
 // waitOnNode spins on n's grant flag; Adaptive waiters park after their
@@ -526,7 +529,7 @@ func (a *algoState) trylockQueue(l *Lock) bool {
 	}
 	simhook.Note(simhook.SpEnqueued, l, 0)
 	a.cur = n
-	l.acquired(false, false, time.Time{}, nil)
+	l.acquired(false, 0, nil)
 	return true
 }
 
@@ -540,12 +543,11 @@ func (a *algoState) lockCohort(l *Lock) {
 	d := &a.domains[di]
 	n := getQnode()
 	prev := d.tail.Swap(n)
-	var start time.Time
+	var start int64
 	var blamed *trace.HoldInfo
-	traced := false
 	contended := prev != nil
 	if contended {
-		start, blamed, traced = l.tracedStart()
+		start, blamed = l.tracedStart()
 		obWaiting(l)
 		prev.next.Store(n)
 		a.waitOnNode(l, n)
@@ -559,8 +561,8 @@ func (a *algoState) lockCohort(l *Lock) {
 				atomic.CompareAndSwapInt32(&a.global, 0, 1) {
 				break
 			}
-			if !contended && !traced {
-				start, blamed, traced = l.tracedStart()
+			if !contended {
+				start, blamed = l.tracedStart()
 				obWaiting(l)
 				contended = true
 			}
@@ -568,7 +570,7 @@ func (a *algoState) lockCohort(l *Lock) {
 		}
 	}
 	a.curDomain = int32(di)
-	l.acquired(contended, traced, start, blamed)
+	l.acquired(contended, start, blamed)
 }
 
 // unlockCohort prefers a same-domain successor while the handoff budget
@@ -626,6 +628,6 @@ func (a *algoState) trylockCohort(l *Lock) bool {
 		return false
 	}
 	a.curDomain = -1
-	l.acquired(false, false, time.Time{}, nil)
+	l.acquired(false, 0, nil)
 	return true
 }

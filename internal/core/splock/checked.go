@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"machlock/internal/trace"
 )
@@ -31,7 +30,7 @@ type Checked struct {
 
 	mu         sync.Mutex
 	holder     Holder
-	acquiredAt int64 // ns; guarded by mu, set only while tracing
+	acquiredAt int64 // trace.Now stamp; guarded by mu, set only while tracing
 
 	acquisitions atomic.Int64
 	contended    atomic.Int64
@@ -59,31 +58,31 @@ func (c *Checked) Lock(h Holder) {
 	}
 	c.mu.Unlock()
 	tr := c.class.On()
-	var waitNs int64
+	var start, now, waitNs int64
 	contended := false
 	if !c.l.TryLock() { //machlock:holds — wrapper: the hold escapes to Lock's caller
 		c.contended.Add(1)
 		contended = true
-		var start time.Time
 		if tr {
-			start = time.Now()
-			c.class.Waiting()
+			start = trace.Now()
+			c.class.WaitingAt(start, 0)
 		}
 		c.l.Lock() //machlock:holds — wrapper: the hold escapes to Lock's caller
-		if tr {
-			waitNs = time.Since(start).Nanoseconds()
-			c.class.DoneWaiting(waitNs)
+	}
+	if tr {
+		now = trace.Now()
+		if contended {
+			waitNs = now - start
+			c.class.DoneWaitingAt(now, 0, waitNs)
 		}
 	}
 	c.mu.Lock()
 	c.holder = h
-	if tr {
-		c.acquiredAt = time.Now().UnixNano()
-	}
+	c.acquiredAt = now
 	c.mu.Unlock()
 	h.NoteSpinAcquire()
 	c.acquisitions.Add(1)
-	c.class.Acquired(contended, waitNs)
+	c.class.AcquiredAt(now, 0, contended, waitNs)
 }
 
 // TryLock makes a single attempt for h.
@@ -94,15 +93,17 @@ func (c *Checked) TryLock(h Holder) bool {
 	if !c.l.TryLock() { //machlock:holds — wrapper: the hold escapes to TryLock's caller
 		return false
 	}
+	var now int64
+	if c.class.On() {
+		now = trace.Now()
+	}
 	c.mu.Lock()
 	c.holder = h
-	if c.class.On() {
-		c.acquiredAt = time.Now().UnixNano()
-	}
+	c.acquiredAt = now
 	c.mu.Unlock()
 	h.NoteSpinAcquire()
 	c.acquisitions.Add(1)
-	c.class.Acquired(false, 0)
+	c.class.AcquiredAt(now, 0, false, 0)
 	return true
 }
 
@@ -120,14 +121,16 @@ func (c *Checked) Unlock(h Holder) {
 	}
 	c.holder = nil
 	holdNs := int64(-1)
+	var now int64
 	if at := c.acquiredAt; at != 0 {
 		c.acquiredAt = 0
-		holdNs = time.Now().UnixNano() - at
+		now = trace.Now()
+		holdNs = now - at
 	}
 	c.mu.Unlock()
 	c.l.Unlock()
 	h.NoteSpinRelease()
-	c.class.Released(holdNs)
+	c.class.ReleasedAt(now, 0, holdNs)
 }
 
 // HolderName returns the name of the current holder, or "" if unheld.

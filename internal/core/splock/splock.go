@@ -29,7 +29,6 @@ package splock
 import (
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"machlock/internal/hw"
 	"machlock/internal/machsim/simhook"
@@ -62,7 +61,8 @@ type Lock struct {
 	// class is the observability registration; nil means untraced.
 	// Immutable after SetClass, which must precede concurrent use.
 	class *trace.Class
-	// acquiredAt is the ns timestamp of the current traced acquisition;
+	// acquiredAt is the trace-clock stamp (trace.Now) of the current traced
+	// acquisition, the same reading its acquire event carries;
 	// protected by the lock itself (written after acquire, consumed at
 	// release).
 	acquiredAt int64
@@ -140,28 +140,30 @@ func (l *Lock) Lock() {
 // waits and stamps the acquisition for the hold-time sample at unlock.
 func (l *Lock) lockTraced() {
 	if atomic.CompareAndSwapInt32(&l.state, 0, 1) {
-		l.acquiredAt = time.Now().UnixNano()
-		l.publishHold()
-		l.class.Acquired(false, 0)
+		now := trace.Now()
+		l.acquiredAt = now
+		l.publishHold(now)
+		l.class.AcquiredAt(now, 0, false, 0)
 		simhook.Note(simhook.SpAcquired, l, 0)
 		obAcquired(l, false)
 		return
 	}
-	start := time.Now()
+	start := trace.Now()
 	// Blame is pinned to the holder visible when the spin began; by the
 	// time we win the lock the blame target has (by definition) released.
 	blamed := l.hold.Load()
-	l.class.Waiting()
+	l.class.WaitingAt(start, 0)
 	obWaiting(l)
 	for {
 		if atomic.LoadInt32(&l.state) == 0 &&
 			atomic.CompareAndSwapInt32(&l.state, 0, 1) {
-			waitNs := time.Since(start).Nanoseconds()
-			l.acquiredAt = time.Now().UnixNano()
-			l.publishHold()
-			l.class.DoneWaiting(waitNs)
+			now := trace.Now()
+			waitNs := now - start
+			l.acquiredAt = now
+			l.publishHold(now)
+			l.class.DoneWaitingAt(now, 0, waitNs)
 			l.class.BlameWait(blamed, waitNs)
-			l.class.Acquired(true, waitNs)
+			l.class.AcquiredAt(now, 0, true, waitNs)
 			l.class.WaitSampled(1, waitNs)
 			simhook.Note(simhook.SpAcquired, l, 0)
 			obDoneWaiting(l)
@@ -180,10 +182,10 @@ func (l *Lock) lockTraced() {
 // the acquiring stack); called by the new holder right after the
 // test-and-set, so the store is ordered before any waiter's blame load
 // could matter. Spin locks have no thread identity, so the published tid
-// is 0.
-func (l *Lock) publishHold() {
+// is 0. now is the acquisition's hold stamp.
+func (l *Lock) publishHold(now int64) {
 	if h := l.class.SampleHold(1, 0); h != nil {
-		h.Since = time.Now().UnixNano()
+		h.Since = now
 		l.hold.Store(h)
 	}
 }
@@ -199,37 +201,42 @@ func (l *Lock) Unlock() {
 		l.algo.unlock(l)
 		return
 	}
-	if l.class != nil {
-		// Consume the acquisition stamp unconditionally so a toggle of
-		// tracing mid-hold cannot leave a stale timestamp behind. A
-		// published hold implies a traced acquisition, which always
-		// stamps, so the hold retire nests under the stamp check and the
-		// untraced unlock pays nothing for it. Load-then-swap: the common
-		// unlock (no hold published — tracing off or unsampled) pays one
-		// plain load, not an atomic RMW. Not racy: only the current
-		// holder publishes, and we are the holder.
-		holdNs := int64(-1)
-		var h *trace.HoldInfo
-		if at := l.acquiredAt; at != 0 {
-			l.acquiredAt = 0
-			holdNs = time.Now().UnixNano() - at
-			if l.hold.Load() != nil {
-				h = l.hold.Swap(nil)
-			}
-		}
-		if atomic.SwapInt32(&l.state, 0) != 1 {
-			panic("splock: unlock of unlocked simple lock")
-		}
-		l.class.Released(holdNs)
-		if holdNs >= 0 {
-			l.class.EndHold(h, holdNs)
-		}
-		simhook.Note(simhook.SpReleased, l, 0)
-		obReleased(l)
+	// A stamped hold takes the traced release even if tracing was turned
+	// off mid-hold, so the stamp is always consumed.
+	if l.class != nil && (l.acquiredAt != 0 || l.class.On()) {
+		l.unlockTraced()
 		return
 	}
 	if atomic.SwapInt32(&l.state, 0) != 1 {
 		panic("splock: unlock of unlocked simple lock")
+	}
+	simhook.Note(simhook.SpReleased, l, 0)
+	obReleased(l)
+}
+
+// unlockTraced is Unlock for a stamped hold or an enabled class. A
+// published hold implies a traced acquisition, which always stamps, so
+// the hold retire nests under the stamp check. Load-then-swap: an
+// unsampled hold pays one plain load, not an atomic RMW. Not racy: only
+// the current holder publishes, and we are the holder.
+func (l *Lock) unlockTraced() {
+	holdNs := int64(-1)
+	var now int64
+	var h *trace.HoldInfo
+	if at := l.acquiredAt; at != 0 {
+		l.acquiredAt = 0
+		now = trace.Now()
+		holdNs = now - at
+		if l.hold.Load() != nil {
+			h = l.hold.Swap(nil)
+		}
+	}
+	if atomic.SwapInt32(&l.state, 0) != 1 {
+		panic("splock: unlock of unlocked simple lock")
+	}
+	l.class.ReleasedAt(now, 0, holdNs)
+	if holdNs >= 0 {
+		l.class.EndHold(h, holdNs)
 	}
 	simhook.Note(simhook.SpReleased, l, 0)
 	obReleased(l)
@@ -252,9 +259,10 @@ func (l *Lock) TryLock() bool {
 	}
 	simhook.Note(simhook.SpAcquired, l, 0)
 	if l.class.On() {
-		l.acquiredAt = time.Now().UnixNano()
-		l.publishHold()
-		l.class.Acquired(false, 0)
+		now := trace.Now()
+		l.acquiredAt = now
+		l.publishHold(now)
+		l.class.AcquiredAt(now, 0, false, 0)
 	}
 	obAcquired(l, false)
 	return true

@@ -2,7 +2,6 @@ package splock
 
 import (
 	"sync/atomic"
-	"time"
 
 	"machlock/internal/stats"
 	"machlock/internal/trace"
@@ -22,7 +21,7 @@ type StatLock struct {
 	class *trace.Class
 	l     Lock
 
-	acquiredAt atomic.Int64 // ns timestamp of current acquisition
+	acquiredAt atomic.Int64 // trace.Now stamp of the current acquisition
 
 	acquisitions atomic.Int64
 	contended    atomic.Int64
@@ -45,20 +44,22 @@ func (s *StatLock) Name() string { return s.name }
 func (s *StatLock) Lock() {
 	if s.l.TryLock() { //machlock:holds — wrapper: the hold escapes to Lock's caller
 		s.acquisitions.Add(1)
-		s.acquiredAt.Store(time.Now().UnixNano())
-		s.class.Acquired(false, 0)
+		now := trace.Now()
+		s.acquiredAt.Store(now)
+		s.class.AcquiredAt(now, 0, false, 0)
 		return
 	}
 	s.contended.Add(1)
-	s.class.Waiting()
-	start := time.Now()
+	start := trace.Now()
+	s.class.WaitingAt(start, 0)
 	s.l.Lock() //machlock:holds — wrapper: the hold escapes to Lock's caller
-	waitNs := time.Since(start).Nanoseconds()
+	now := trace.Now()
+	waitNs := now - start
 	s.wait.Observe(waitNs)
 	s.acquisitions.Add(1)
-	s.acquiredAt.Store(time.Now().UnixNano())
-	s.class.DoneWaiting(waitNs)
-	s.class.Acquired(true, waitNs)
+	s.acquiredAt.Store(now)
+	s.class.DoneWaitingAt(now, 0, waitNs)
+	s.class.AcquiredAt(now, 0, true, waitNs)
 }
 
 // TryLock makes a single attempt.
@@ -67,8 +68,9 @@ func (s *StatLock) TryLock() bool {
 		return false
 	}
 	s.acquisitions.Add(1)
-	s.acquiredAt.Store(time.Now().UnixNano())
-	s.class.Acquired(false, 0)
+	now := trace.Now()
+	s.acquiredAt.Store(now)
+	s.class.AcquiredAt(now, 0, false, 0)
 	return true
 }
 
@@ -77,12 +79,14 @@ func (s *StatLock) TryLock() bool {
 // unlock cannot observe a stale timestamp and record a bogus hold sample.
 func (s *StatLock) Unlock() {
 	holdNs := int64(-1)
+	var now int64
 	if at := s.acquiredAt.Swap(0); at != 0 {
-		holdNs = time.Now().UnixNano() - at
+		now = trace.Now()
+		holdNs = now - at
 		s.hold.Observe(holdNs)
 	}
 	s.l.Unlock()
-	s.class.Released(holdNs)
+	s.class.ReleasedAt(now, 0, holdNs)
 }
 
 var _ Mutex = (*StatLock)(nil)

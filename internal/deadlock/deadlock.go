@@ -38,18 +38,26 @@ import (
 // Uninstall.
 type Tracker struct {
 	mu sync.Mutex
-	// holds[lock][thread] = number of holds.
-	holds map[*cxlock.Lock]map[*sched.Thread]int
+	// holds[{lock, thread}] = number of holds. Flat, so an uncontended
+	// acquire/release pair on a lock nobody holds allocates nothing: the
+	// entry's map slot is reused, not a fresh per-lock inner map.
+	holds map[holdKey]int
 	// waits[thread] = lock the thread is currently waiting for.
 	waits map[*sched.Thread]*cxlock.Lock
 	// names gives locks human-readable labels for reports.
 	names map[*cxlock.Lock]string
 }
 
+// holdKey names one (lock, holder) pair of the holds multiset.
+type holdKey struct {
+	lock   *cxlock.Lock
+	thread *sched.Thread
+}
+
 // NewTracker creates an empty tracker.
 func NewTracker() *Tracker {
 	return &Tracker{
-		holds: make(map[*cxlock.Lock]map[*sched.Thread]int),
+		holds: make(map[holdKey]int),
 		waits: make(map[*sched.Thread]*cxlock.Lock),
 		names: make(map[*cxlock.Lock]string),
 	}
@@ -72,27 +80,18 @@ func (tr *Tracker) lockName(l *cxlock.Lock) string {
 // Acquired implements cxlock.Observer.
 func (tr *Tracker) Acquired(l *cxlock.Lock, t *sched.Thread) {
 	tr.mu.Lock()
-	m := tr.holds[l]
-	if m == nil {
-		m = make(map[*sched.Thread]int)
-		tr.holds[l] = m
-	}
-	m[t]++
+	tr.holds[holdKey{l, t}]++
 	tr.mu.Unlock()
 }
 
 // Released implements cxlock.Observer.
 func (tr *Tracker) Released(l *cxlock.Lock, t *sched.Thread) {
 	tr.mu.Lock()
-	if m := tr.holds[l]; m != nil {
-		if m[t] > 1 {
-			m[t]--
-		} else {
-			delete(m, t)
-			if len(m) == 0 {
-				delete(tr.holds, l)
-			}
-		}
+	k := holdKey{l, t}
+	if tr.holds[k] > 1 {
+		tr.holds[k]--
+	} else {
+		delete(tr.holds, k)
 	}
 	tr.mu.Unlock()
 }
@@ -135,16 +134,16 @@ func (tr *Tracker) Detect() []Cycle {
 		lock *cxlock.Lock
 	}
 	edges := make(map[*sched.Thread][]edge)
+	names := make(map[*cxlock.Lock]string)
+	for k := range tr.holds {
+		names[k.lock] = tr.lockName(k.lock)
+	}
 	for t, l := range tr.waits {
-		for holder := range tr.holds[l] {
-			if holder != t {
-				edges[t] = append(edges[t], edge{to: holder, lock: l})
+		for k := range tr.holds {
+			if k.lock == l && k.thread != t {
+				edges[t] = append(edges[t], edge{to: k.thread, lock: l})
 			}
 		}
-	}
-	names := make(map[*cxlock.Lock]string)
-	for l := range tr.holds {
-		names[l] = tr.lockName(l)
 	}
 	for _, l := range tr.waits {
 		names[l] = tr.lockName(l)
@@ -266,10 +265,8 @@ func (tr *Tracker) Snapshot() string {
 	defer tr.mu.Unlock()
 	var sb strings.Builder
 	var lines []string
-	for l, m := range tr.holds {
-		for t, n := range m {
-			lines = append(lines, fmt.Sprintf("%s held by %s (x%d)", tr.lockName(l), t.Name(), n))
-		}
+	for k, n := range tr.holds {
+		lines = append(lines, fmt.Sprintf("%s held by %s (x%d)", tr.lockName(k.lock), k.thread.Name(), n))
 	}
 	for t, l := range tr.waits {
 		lines = append(lines, fmt.Sprintf("%s waiting for %s", t.Name(), tr.lockName(l)))

@@ -27,13 +27,11 @@ func (tr *Tracker) WaitGraphDOT() string {
 	var waits []wait
 	threads := map[string]bool{}
 	locks := map[string]bool{}
-	for l, m := range tr.holds {
-		ln := tr.lockName(l)
+	for k, n := range tr.holds {
+		ln := tr.lockName(k.lock)
 		locks[ln] = true
-		for t, n := range m {
-			threads[t.Name()] = true
-			holds = append(holds, hold{lock: ln, thread: t.Name(), n: n})
-		}
+		threads[k.thread.Name()] = true
+		holds = append(holds, hold{lock: ln, thread: k.thread.Name(), n: n})
 	}
 	for t, l := range tr.waits {
 		ln := tr.lockName(l)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
-	"time"
 	"unsafe"
 )
 
@@ -64,7 +63,11 @@ func (o Op) String() string {
 
 // Event is one decoded flight-recorder entry.
 type Event struct {
-	TimeNs int64  // wall-clock nanoseconds at recording
+	// TimeNs is the trace-clock reading (Now) the event was recorded
+	// with: process-start wall time plus monotonic elapsed time. For a
+	// lock event it is the same reading the lock took for its own hold
+	// stamp, so a release's TimeNs - Arg is its acquire's TimeNs.
+	TimeNs int64
 	Class  *Class // registered class (nil only if the registry was reset)
 	Op     Op
 	Arg    int64  // op-specific payload, see the Op constants
@@ -154,16 +157,21 @@ func shardHint() int {
 	return int((h >> 40) & (nshards - 1))
 }
 
-// emit records one event. Callers have already verified tracing is on;
-// recording is wait-free: one atomic cursor bump plus atomic slot stores.
-// tid is the recording thread's trace id (0 = anonymous); class ids above
-// 24 bits would collide with it, far beyond any real registry size.
-func emit(classID uint32, op Op, arg int64, tid uint32) {
+// emit records one event stamped now, a trace-clock reading the caller
+// took; now == 0 means the caller took none, and emit reads the clock
+// itself. Callers have already verified tracing is on; recording is
+// wait-free: one atomic cursor bump plus atomic slot stores. tid is the
+// recording thread's trace id (0 = anonymous); class ids above 24 bits
+// would collide with it, far beyond any real registry size.
+func emit(classID uint32, op Op, arg int64, tid uint32, now int64) {
 	sh := &rec.Load().shards[shardHint()]
 	t := sh.pos.Add(1)
 	sl := &sh.slots[(t-1)%uint64(len(sh.slots))]
+	if now == 0 {
+		now = Now()
+	}
 	sl.seq.Store(0) // invalidate while the payload is in flux
-	sl.time.Store(time.Now().UnixNano())
+	sl.time.Store(now)
 	sl.meta.Store(uint64(tid)<<32 | uint64(classID&0xffffff)<<8 | uint64(op))
 	sl.arg.Store(arg)
 	sl.seq.Store(t)

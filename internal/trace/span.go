@@ -3,7 +3,6 @@ package trace
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // This file is the operation-span half of the attribution layer: a
@@ -106,7 +105,7 @@ func BeginSpan(owner any, op *Class) *Span {
 	if !op.On() {
 		return nil
 	}
-	s := &Span{op: op, owner: owner, startNs: time.Now().UnixNano()}
+	s := &Span{op: op, owner: owner, startNs: Now()}
 	if id, ok := owner.(Identifiable); ok {
 		s.tid = id.TraceID()
 	}
@@ -116,7 +115,7 @@ func BeginSpan(owner any, op *Class) *Span {
 		}
 	}
 	openSpans.Add(1)
-	emit(op.id, OpSpanBegin, 0, s.tid)
+	emit(op.id, OpSpanBegin, 0, s.tid, s.startNs)
 	return s
 }
 
@@ -128,7 +127,7 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	now := time.Now().UnixNano()
+	now := Now()
 	if s.waitAt != 0 {
 		// A wait is still open (End inside a wait window should not
 		// happen, but truncate rather than lose the time).
@@ -157,7 +156,7 @@ func (s *Span) End() {
 		}
 	}
 	openSpans.Add(-1)
-	emit(c.id, OpSpanEnd, total, s.tid)
+	emit(c.id, OpSpanEnd, total, s.tid, now)
 }
 
 // WaitNs returns the lock wait accumulated so far (for tests).
@@ -198,7 +197,7 @@ func SpanWaitStart(owner any) {
 	if v, ok := curSpans.Load(owner); ok {
 		s := v.(*Span)
 		if s.waitAt == 0 {
-			s.waitAt = time.Now().UnixNano()
+			s.waitAt = Now()
 		}
 	}
 }
@@ -212,7 +211,7 @@ func SpanWaitEnd(owner any) {
 	if v, ok := curSpans.Load(owner); ok {
 		s := v.(*Span)
 		if s.waitAt != 0 {
-			s.waitNs += time.Now().UnixNano() - s.waitAt
+			s.waitNs += Now() - s.waitAt
 			s.waitAt = 0
 		}
 	}

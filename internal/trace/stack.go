@@ -224,7 +224,7 @@ func (c *Class) sampleFires() bool {
 type HoldInfo struct {
 	Stack *Stack
 	TID   uint32
-	Since int64 // ns timestamp of the acquisition
+	Since int64 // trace-clock (Now) reading of the acquisition: the holder's hold stamp
 }
 
 // SampleHold decides whether this acquisition is sampled and, if so,

@@ -206,13 +206,23 @@ func (c *Class) On() bool { return c != nil && enabled.Load() }
 // acquisition that did not succeed on the first attempt; waitNs (>= 0) is
 // how long it waited.
 func (c *Class) Acquired(contended bool, waitNs int64) {
-	c.AcquiredBy(0, contended, waitNs)
+	c.AcquiredAt(0, 0, contended, waitNs)
 }
 
 // AcquiredBy is Acquired with the acquiring thread's trace id (see
 // RegisterThread), which stamps the flight-recorder event so the timeline
 // export can place it on the thread's track. tid 0 means anonymous.
 func (c *Class) AcquiredBy(tid uint32, contended bool, waitNs int64) {
+	c.AcquiredAt(0, tid, contended, waitNs)
+}
+
+// AcquiredAt is AcquiredBy stamped with now, the trace-clock reading the
+// caller already took for its own hold stamp, so the event and the hold
+// arithmetic share one reading. It is the one implementation the other
+// acquisition forms wrap; they pass now == 0, which makes the event take
+// its own reading, and only after On has said yes. The same holds for
+// ReleasedAt, WaitingAt and DoneWaitingAt.
+func (c *Class) AcquiredAt(now int64, tid uint32, contended bool, waitNs int64) {
 	if !c.On() {
 		return
 	}
@@ -224,15 +234,19 @@ func (c *Class) AcquiredBy(tid uint32, contended bool, waitNs int64) {
 	if graphEnabled.Load() {
 		lockGraphAcquire(c)
 	}
-	emit(c.id, OpAcquire, waitNs, tid)
+	emit(c.id, OpAcquire, waitNs, tid, now)
 }
 
 // Released records one release with the hold time of the critical section
 // (holdNs < 0 means unknown; no hold sample is recorded).
-func (c *Class) Released(holdNs int64) { c.ReleasedBy(0, holdNs) }
+func (c *Class) Released(holdNs int64) { c.ReleasedAt(0, 0, holdNs) }
 
 // ReleasedBy is Released with the releasing thread's trace id.
-func (c *Class) ReleasedBy(tid uint32, holdNs int64) {
+func (c *Class) ReleasedBy(tid uint32, holdNs int64) { c.ReleasedAt(0, tid, holdNs) }
+
+// ReleasedAt is ReleasedBy stamped with now, normally the reading the
+// lock subtracted its acquisition stamp from to get holdNs (0: read here).
+func (c *Class) ReleasedAt(now int64, tid uint32, holdNs int64) {
 	if !c.On() {
 		return
 	}
@@ -243,29 +257,37 @@ func (c *Class) ReleasedBy(tid uint32, holdNs int64) {
 	if graphEnabled.Load() {
 		lockGraphRelease(c)
 	}
-	emit(c.id, OpRelease, holdNs, tid)
+	emit(c.id, OpRelease, holdNs, tid, now)
 }
 
 // Waiting records the start of a wait (sleep or spin) for the lock.
-func (c *Class) Waiting() { c.WaitingBy(0) }
+func (c *Class) Waiting() { c.WaitingAt(0, 0) }
 
 // WaitingBy is Waiting with the waiting thread's trace id.
-func (c *Class) WaitingBy(tid uint32) {
+func (c *Class) WaitingBy(tid uint32) { c.WaitingAt(0, tid) }
+
+// WaitingAt is WaitingBy stamped with now, the reading the lock took as
+// its wait's start (0: read here).
+func (c *Class) WaitingAt(now int64, tid uint32) {
 	if !c.On() {
 		return
 	}
-	emit(c.id, OpWait, 0, tid)
+	emit(c.id, OpWait, 0, tid, now)
 }
 
 // DoneWaiting records the end of a wait; waitNs is the time spent waiting.
-func (c *Class) DoneWaiting(waitNs int64) { c.DoneWaitingBy(0, waitNs) }
+func (c *Class) DoneWaiting(waitNs int64) { c.DoneWaitingAt(0, 0, waitNs) }
 
 // DoneWaitingBy is DoneWaiting with the waiting thread's trace id.
-func (c *Class) DoneWaitingBy(tid uint32, waitNs int64) {
+func (c *Class) DoneWaitingBy(tid uint32, waitNs int64) { c.DoneWaitingAt(0, tid, waitNs) }
+
+// DoneWaitingAt is DoneWaitingBy stamped with now, the reading the lock
+// took as its wait's end (0: read here).
+func (c *Class) DoneWaitingAt(now int64, tid uint32, waitNs int64) {
 	if !c.On() {
 		return
 	}
-	emit(c.id, OpDoneWait, waitNs, tid)
+	emit(c.id, OpDoneWait, waitNs, tid, now)
 }
 
 // Upgraded records a read-to-write upgrade attempt; ok reports whether it
@@ -276,10 +298,10 @@ func (c *Class) Upgraded(ok bool) {
 	}
 	if ok {
 		c.upgrades.Inc()
-		emit(c.id, OpUpgrade, 1, 0)
+		emit(c.id, OpUpgrade, 1, 0, 0)
 	} else {
 		c.failedUpgrades.Inc()
-		emit(c.id, OpUpgrade, 0, 0)
+		emit(c.id, OpUpgrade, 0, 0, 0)
 	}
 }
 
@@ -289,7 +311,7 @@ func (c *Class) Downgraded() {
 		return
 	}
 	c.downgrades.Inc()
-	emit(c.id, OpDowngrade, 0, 0)
+	emit(c.id, OpDowngrade, 0, 0, 0)
 }
 
 // RefClone records a reference clone; refs is the count after the clone.
@@ -298,7 +320,7 @@ func (c *Class) RefClone(refs int64) {
 		return
 	}
 	c.refClones.Inc()
-	emit(c.id, OpRefClone, refs, 0)
+	emit(c.id, OpRefClone, refs, 0, 0)
 }
 
 // RefRelease records a reference release; refs is the count after the
@@ -308,7 +330,7 @@ func (c *Class) RefRelease(refs int64) {
 		return
 	}
 	c.refReleases.Inc()
-	emit(c.id, OpRefRelease, refs, 0)
+	emit(c.id, OpRefRelease, refs, 0, 0)
 }
 
 // Deactivated records an object deactivation (Section 9 active
@@ -318,7 +340,7 @@ func (c *Class) Deactivated() {
 		return
 	}
 	c.deactivates.Inc()
-	emit(c.id, OpDeactivate, 0, 0)
+	emit(c.id, OpDeactivate, 0, 0, 0)
 }
 
 // BiasRevoked records a write request revoking a complex lock's reader
@@ -328,7 +350,7 @@ func (c *Class) BiasRevoked() {
 		return
 	}
 	c.biasRevokes.Inc()
-	emit(c.id, OpBiasRevoke, 0, 0)
+	emit(c.id, OpBiasRevoke, 0, 0, 0)
 }
 
 // CensusInc records the birth of one instance of this class (an object

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // testClass makes a uniquely named class per test to keep the global
@@ -168,7 +167,7 @@ func TestFlightRecorderConcurrentWraparound(t *testing.T) {
 	Enable()
 	defer Disable()
 	c := testClass(t, KindSpin)
-	start := time.Now().UnixNano()
+	start := Now()
 
 	const writers = 8
 	const perWriter = 4000

@@ -30,7 +30,7 @@ func HierarchyViolation(report string) {
 	hierViolations.Inc()
 	hierLastReport.Store(&report)
 	if Enabled() {
-		emit(violationClass.id, OpViolation, hierViolations.Load(), 0)
+		emit(violationClass.id, OpViolation, hierViolations.Load(), 0, 0)
 	}
 }
 
