@@ -70,12 +70,13 @@ bench:
 bench-smoke:
 	$(GO) test -bench=BenchmarkUncontended -benchtime=1x -run='^$$' .
 
-# Arsenal shootout smoke (also run in CI): the per-algorithm uncontended
-# pairs, the E14 contended sweep across every machlock.Algorithm, and the
-# deterministic E14 claims test (queue/cohort beat TTAS at 16 CPUs,
-# cohort wins cross-cell locality, adaptive actually parks).
+# Arsenal shootout smoke (also run in CI): the production algorithms'
+# uncontended pairs, the E14 contended sweep across every
+# machlock.Algorithm, and the deterministic E14 claims test on the
+# simulated locks (queue/cohort beat TTAS at 16 CPUs, cohort wins
+# cross-cell locality, adaptive actually parks).
 bench-arsenal:
-	$(GO) test -bench='BenchmarkUncontended(Spin$$|Queue|Cohort|Adaptive|Facade)|BenchmarkE14' \
+	$(GO) test -bench='BenchmarkUncontended(Spin$$|Queue|Facade)|BenchmarkE14' \
 		-benchtime=100x -run='^$$' .
 	$(GO) test -run 'TestClaimE14' -count=1 ./internal/experiments/
 

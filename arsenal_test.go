@@ -5,11 +5,10 @@ import (
 	"testing"
 
 	"machlock"
-	"machlock/internal/trace"
 )
 
-// Facade tests for the lock-algorithm arsenal: the Algorithm enum, the
-// NewSimpleLock/NewLock option plumbing, and the Recommend heuristic.
+// Facade tests for the acquisition algorithms: the Algorithm enum and the
+// NewSimpleLock/NewLock option plumbing.
 
 // TestSimpleLockAlgorithms: every algorithm built through the facade must
 // behave as a mutex from the facade's perspective.
@@ -46,14 +45,9 @@ func TestSimpleLockAlgorithms(t *testing.T) {
 	}
 }
 
-// TestWithSpinThenParkImpliesAdaptive: on the simple-lock side the option
-// selects the Adaptive algorithm (unless one was chosen explicitly); on
-// the complex-lock side it implies Sleep.
-func TestWithSpinThenParkImpliesAdaptive(t *testing.T) {
-	l := machlock.NewSimpleLock(machlock.WithSpinThenPark(32))
-	if got := l.Algorithm().String(); got != "adaptive" {
-		t.Fatalf("WithSpinThenPark built a %q simple lock, want adaptive", got)
-	}
+// TestWithSpinThenParkImpliesSleep: on a complex lock the option implies
+// Sleep.
+func TestWithSpinThenParkImpliesSleep(t *testing.T) {
 	cl := machlock.NewLock(machlock.WithSpinThenPark(32))
 	if !cl.CanSleep() {
 		t.Fatal("WithSpinThenPark complex lock cannot sleep (parking is sleeping)")
@@ -64,69 +58,12 @@ func TestWithSpinThenParkImpliesAdaptive(t *testing.T) {
 // sweeps key on.
 func TestAlgorithmStrings(t *testing.T) {
 	want := map[machlock.Algorithm]string{
-		machlock.Default:  "default",
-		machlock.TAS:      "tas",
-		machlock.TTAS:     "ttas",
-		machlock.Queue:    "queue",
-		machlock.Cohort:   "cohort",
-		machlock.Adaptive: "adaptive",
+		machlock.Default: "default",
+		machlock.Queue:   "queue",
 	}
 	for a, s := range want {
 		if a.String() != s {
 			t.Fatalf("Algorithm(%d).String() = %q, want %q", int(a), a.String(), s)
 		}
-	}
-}
-
-// feedClass synthesizes a contention profile: total acquisitions, of
-// which contended waited waitNs each and held holdNs.
-func feedClass(c *trace.Class, total, contended int, waitNs, holdNs int64) {
-	for i := 0; i < total; i++ {
-		if i < contended {
-			c.Acquired(true, waitNs)
-		} else {
-			c.Acquired(false, 0)
-		}
-		c.Released(holdNs)
-	}
-}
-
-// TestRecommend drives the heuristic across its regimes with synthetic
-// profiles.
-func TestRecommend(t *testing.T) {
-	trace.Enable()
-	defer trace.Disable()
-	cases := []struct {
-		name             string
-		total, contended int
-		waitNs, holdNs   int64
-		want             machlock.Algorithm
-	}{
-		{"nil-class", 0, 0, 0, 0, machlock.Default},
-		{"too-few-samples", 100, 90, 1 << 20, 1 << 20, machlock.Default},
-		{"uncontended", 10000, 100, 1000, 1000, machlock.Default},
-		{"long-waits-park", 10000, 2000, 400_000, 1000, machlock.Adaptive},
-		// Hold/wait quantiles come from a log-bucketed histogram (powers
-		// of two), so pick values whose bucket floor still clears the
-		// Recommend thresholds: 60µs holds floor to 32768ns ≥ 20µs.
-		{"heavy-long-holds-cohort", 10000, 5000, 50_000, 60_000, machlock.Cohort},
-		{"contended-short-queue", 10000, 2000, 5_000, 1_000, machlock.Queue},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			if tc.name == "nil-class" {
-				if got := machlock.Recommend(nil); got != machlock.Default {
-					t.Fatalf("Recommend(nil) = %v, want Default", got)
-				}
-				return
-			}
-			c := trace.NewClass("bench", "rec."+tc.name, trace.KindSpin)
-			feedClass(c, tc.total, tc.contended, tc.waitNs, tc.holdNs)
-			if got := machlock.Recommend(c); got != tc.want {
-				t.Fatalf("Recommend(%s) = %v, want %v (profile %+v)",
-					tc.name, got, tc.want, c.Snapshot())
-			}
-		})
 	}
 }

@@ -35,7 +35,7 @@ func BenchmarkE1LockVariants(b *testing.B) {
 	for _, policy := range []splock.Policy{splock.TAS, splock.TTAS, splock.TASTTAS} {
 		b.Run(policy.String(), func(b *testing.B) {
 			m := hw.New(2)
-			l := splock.NewSimWith(splock.Opts{Machine: m, Algorithm: policy})
+			l := splock.NewSimWith(splock.SimOpts{Machine: m, Algorithm: policy})
 			var wg sync.WaitGroup
 			half := b.N/2 + 1
 			b.ResetTimer()
@@ -499,17 +499,15 @@ func BenchmarkExperimentDriversQuick(b *testing.B) {
 	}
 }
 
-// BenchmarkE14ArsenalContended: the shootout's end-to-end leg as a bench —
-// each arsenal algorithm under GOMAXPROCS-wide contention with a short
-// critical section, labeled by algorithm so `-bench E14 | benchstat` lines
-// the arsenal up directly. The deterministic coherence tables come from
-// `go run ./cmd/machbench -run e14`.
+// BenchmarkE14ArsenalContended: each production algorithm under
+// GOMAXPROCS-wide contention with a short critical section, labeled by
+// algorithm so `-bench E14 | benchstat` lines them up directly. The
+// deterministic coherence tables come from `go run ./cmd/machbench e14`.
 func BenchmarkE14ArsenalContended(b *testing.B) {
 	for _, a := range machlock.Algorithms() {
 		b.Run(a.String(), func(b *testing.B) {
 			l := machlock.NewSimpleLock(
 				machlock.WithAlgorithm(a),
-				machlock.WithDomains(2),
 				machlock.WithName("bench.e14."+a.String()),
 			)
 			var n int64
@@ -522,13 +520,6 @@ func BenchmarkE14ArsenalContended(b *testing.B) {
 			})
 			if n != int64(b.N) {
 				b.Fatalf("lost updates under %s: n=%d, want %d", a, n, b.N)
-			}
-			st := l.AlgoStats()
-			if st.Handoffs > 0 {
-				b.ReportMetric(float64(st.Handoffs)/float64(b.N), "handoffs/acq")
-			}
-			if st.Parks > 0 {
-				b.ReportMetric(float64(st.Parks)/float64(b.N), "parks/acq")
 			}
 		})
 	}

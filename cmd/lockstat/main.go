@@ -61,7 +61,7 @@ func spinSweep(acquisitions int) {
 					cells = 2
 				}
 				m := hw.NewWithConfig(hw.Config{CPUs: ncpu, WriteThrough: wt, Cells: cells})
-				l := splock.NewSimWith(splock.Opts{Machine: m, Algorithm: p, Domains: cells})
+				l := splock.NewSimWith(splock.SimOpts{Machine: m, Algorithm: p})
 				start := time.Now()
 				var wg sync.WaitGroup
 				for i := 0; i < ncpu; i++ {

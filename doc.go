@@ -54,7 +54,7 @@
 // values of SimpleLock and of the internal lock types remain valid
 // unlocked locks with default behaviour.
 //
-// # The algorithm arsenal
+// # Acquisition algorithms
 //
 // One Algorithm enum selects how a lock is acquired under contention,
 // for both lock shapes:
@@ -64,14 +64,12 @@
 //
 // Default is the paper's TAS+TTAS spin; Queue is an MCS lock (per-waiter
 // queue nodes, local spinning, FIFO handoff — handoff traffic stays
-// constant as waiters are added); Cohort partitions waiters into
-// topology domains (WithDomains) and batches a domain's holders to keep
-// the protected data's cache line local; Adaptive spins a bounded budget
-// then parks the waiter (WithSpinThenPark sizes the budget; on a complex
-// lock it selects spin-then-park waiting and implies WithSleep; on a
-// simple lock it implies Adaptive). WithAlgorithm on a complex lock
-// selects the interlock's algorithm. Recommend maps a traced contention
-// profile to the algorithm these trade-offs favour.
+// constant as waiters are added). WithAlgorithm on a complex lock
+// selects the interlock's algorithm. WithSpinThenPark gives a complex
+// lock spin-then-park waiting and implies WithSleep. The other spin
+// policies (pure TAS and TTAS, test-and-clear, cohort, adaptive) are
+// claims about interconnect traffic and run only on the simulated
+// machine, where experiments E1 and E14 measure them.
 //
 // The deeper subsystems the paper describes — the simulated multiprocessor
 // with coherence accounting, the VM system with the vm_map_pageable

@@ -131,10 +131,10 @@ func reg(pkg, recv, method string, e opEntry) {
 
 func init() {
 	// splock simple locks: every implementation and the Mutex interface.
-	// splock.Lock covers the whole algorithm arsenal (TAS/TTAS/queue/
-	// cohort/adaptive): the algorithm is an option on the one type, so the
-	// type-exact rows below classify every variant identically. SimLock is
-	// the coherence-simulation twin with the same hold discipline.
+	// splock.Lock covers both production algorithms (TAS+TTAS and
+	// queue): the algorithm is an option on the one type, so the
+	// type-exact rows below classify both identically. SimLock is the
+	// coherence-simulation twin with the same hold discipline.
 	for _, recv := range []string{"Lock", "Checked", "StatLock", "OrderedLock", "Noop", "Mutex", "SimLock"} {
 		reg(pkgSplock, recv, "Lock", opEntry{kind: OpAcquire, class: Simple})
 		reg(pkgSplock, recv, "TryLock", opEntry{kind: OpTryAcquire, class: Simple})

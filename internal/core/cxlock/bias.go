@@ -75,8 +75,9 @@ type Options struct {
 	SpinPark int
 	// Interlock selects the algorithm guarding the lock's internal
 	// state (the paper's simple-lock interlock). The zero value is the
-	// default TASTTAS spin lock; Queue or Adaptive make sense for
-	// central locks whose interlock itself is a contention point.
+	// default TASTTAS spin lock; Queue suits central locks whose
+	// interlock itself is a contention point (the IPC space lock). Any
+	// other policy is SimLock-only and panics, as splock.InitWith does.
 	Interlock splock.Policy
 }
 

@@ -2,6 +2,7 @@ package splock
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,8 +11,28 @@ import (
 )
 
 // arsenalPolicies are the non-default algorithms under test; the default
-// TASTTAS path has its own suite in splock_test.go.
-var arsenalPolicies = []Policy{TAS, TTAS, Queue, Cohort, Adaptive}
+// TASTTAS path has its own suite in splock_test.go. Queue is the one the
+// production Lock builds; the rest are SimLock-only, and their rows check
+// that the production constructors refuse them.
+var arsenalPolicies = []Policy{TAS, TTAS, TCLEAR, Queue, Cohort, Adaptive}
+
+// newOrRefused builds a production lock from o, or — for a SimLock-only
+// policy — checks that construction panics with a message naming
+// NewSimWith and returns nil.
+func newOrRefused(t *testing.T, o Opts) *Lock {
+	t.Helper()
+	if o.Algorithm == Queue {
+		return NewWith(o)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "NewSimWith") {
+			t.Fatalf("NewWith(%v) did not refuse with a NewSimWith pointer: %q", o.Algorithm, msg)
+		}
+	}()
+	NewWith(o)
+	return nil
+}
 
 // TestAlgoMutualExclusionStress hammers each algorithm from 2×GOMAXPROCS
 // goroutines; run under -race this is the data-race certification for the
@@ -22,11 +43,10 @@ func TestAlgoMutualExclusionStress(t *testing.T) {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			t.Parallel()
-			l := NewWith(Opts{
-				Algorithm:  p,
-				SpinBudget: 8, // force the park path under contention
-				Domains:    2,
-			})
+			l := newOrRefused(t, Opts{Algorithm: p})
+			if l == nil {
+				return
+			}
 			workers := 2 * runtime.GOMAXPROCS(0)
 			const perWorker = 2000
 			n := 0
@@ -53,13 +73,16 @@ func TestAlgoMutualExclusionStress(t *testing.T) {
 	}
 }
 
-// TestAlgoTryLock: TryLock on every algorithm must fail against a holder,
+// TestAlgoTryLock: TryLock on the queue lock must fail against a holder,
 // succeed on a free lock, and compose with Unlock.
 func TestAlgoTryLock(t *testing.T) {
 	for _, p := range arsenalPolicies {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
-			l := NewWith(Opts{Algorithm: p, Domains: 2})
+			l := newOrRefused(t, Opts{Algorithm: p})
+			if l == nil {
+				return
+			}
 			if !l.TryLock() {
 				t.Fatal("TryLock failed on a free lock")
 			}
@@ -81,14 +104,17 @@ func TestAlgoTryLock(t *testing.T) {
 }
 
 // TestAlgoTryLockUnderChurn interleaves TryLock with blocking Lock on
-// each algorithm: a trylock must never corrupt the queue/global state the
+// the queue lock: a trylock must never corrupt the queue state the
 // blocking path depends on.
 func TestAlgoTryLockUnderChurn(t *testing.T) {
-	for _, p := range []Policy{Queue, Cohort, Adaptive} {
+	for _, p := range arsenalPolicies {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			t.Parallel()
-			l := NewWith(Opts{Algorithm: p, SpinBudget: 8, Domains: 2})
+			l := newOrRefused(t, Opts{Algorithm: p})
+			if l == nil {
+				return
+			}
 			n := 0
 			var tried, took int
 			var wg sync.WaitGroup
@@ -124,58 +150,8 @@ func TestAlgoTryLockUnderChurn(t *testing.T) {
 	}
 }
 
-// TestAlgoStatsAccounting: the arsenal counters must move — handoffs for
-// the queue family, parks/unparks for adaptive, local handoffs for the
-// cohort under a handoff-friendly schedule.
-func TestAlgoStatsAccounting(t *testing.T) {
-	t.Run("queue-handoffs", func(t *testing.T) {
-		l := NewWith(Opts{Algorithm: Queue})
-		contendSlow(l, 4, 50) // holds long enough that waiters queue up
-		if l.AlgoStats().Handoffs == 0 {
-			t.Fatal("contended queue lock recorded no handoffs")
-		}
-	})
-	t.Run("adaptive-parks", func(t *testing.T) {
-		l := NewWith(Opts{Algorithm: Adaptive, SpinBudget: 1})
-		contendSlow(l, 4, 50)
-		s := l.AlgoStats()
-		if s.Parks == 0 {
-			t.Fatal("adaptive lock with budget 1 never parked under contention")
-		}
-		if s.Unparks == 0 {
-			t.Fatal("parked waiters were never counted as unparked")
-		}
-	})
-	t.Run("cohort-local", func(t *testing.T) {
-		l := NewWith(Opts{Algorithm: Cohort, Domains: 2, HandoffBudget: 16})
-		contend(l, 4, 500)
-		s := l.AlgoStats()
-		if s.Handoffs == 0 {
-			t.Skip("scheduler never produced a queued successor; nothing to assert")
-		}
-		if s.Local == 0 {
-			t.Fatal("cohort recorded handoffs but none stayed in-domain")
-		}
-	})
-}
-
-func contend(l *Lock, workers, iters int) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				l.Lock()
-				l.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// contendSlow holds the lock across a sleep so waiters reliably exhaust a
-// small spin budget and park.
+// contendSlow holds the lock across a sleep so waiters reliably queue up
+// behind the holder.
 func contendSlow(l *Lock, workers, iters int) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -194,8 +170,8 @@ func contendSlow(l *Lock, workers, iters int) {
 
 // TestAlgoTraceIntegration: a classed queue lock must feed the same
 // contention accounting as the default path — contended acquisitions
-// counted, waits measured, releases balanced — so Recommend and the
-// profile reports work unchanged across the arsenal.
+// counted, waits measured, releases balanced — so the profile reports
+// work unchanged across algorithms.
 func TestAlgoTraceIntegration(t *testing.T) {
 	for _, p := range arsenalPolicies {
 		p := p
@@ -203,7 +179,10 @@ func TestAlgoTraceIntegration(t *testing.T) {
 			trace.Enable()
 			defer trace.Disable()
 			c := trace.NewClass("splock", "algo."+p.String(), trace.KindSpin)
-			l := NewWith(Opts{Algorithm: p, Class: c, Name: "algo." + p.String(), SpinBudget: 4, Domains: 2})
+			l := newOrRefused(t, Opts{Algorithm: p, Class: c, Name: "algo." + p.String()})
+			if l == nil {
+				return
+			}
 			contendSlow(l, 4, 25)
 			prof := c.Snapshot()
 			if prof.Acquisitions == 0 {
@@ -223,15 +202,18 @@ func TestAlgoTraceIntegration(t *testing.T) {
 // TestAlgoUnlockSanity: foreign/double unlock must panic on the arsenal
 // paths exactly as on the default path.
 func TestAlgoUnlockSanity(t *testing.T) {
-	for _, p := range []Policy{Queue, Cohort, Adaptive} {
+	for _, p := range arsenalPolicies {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
+			l := newOrRefused(t, Opts{Algorithm: p})
+			if l == nil {
+				return
+			}
 			defer func() {
 				if recover() == nil {
 					t.Fatal("unlock of a free lock did not panic")
 				}
 			}()
-			l := NewWith(Opts{Algorithm: p, Domains: 2})
 			l.Unlock()
 		})
 	}

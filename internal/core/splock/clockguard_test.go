@@ -10,14 +10,14 @@ import (
 )
 
 // TestUntracedPathReadsNoClock: with tracing off, a classed simple lock —
-// every algorithm, and the checked variant — must not read the trace
-// clock. (StatLock keeps its own always-on statistics and reads the clock
-// by design.)
+// both production algorithms, and the checked variant — must not read the
+// trace clock. (StatLock keeps its own always-on statistics and reads the
+// clock by design.)
 func TestUntracedPathReadsNoClock(t *testing.T) {
 	trace.Disable()
 	c := trace.NewClass("splocktest", t.Name(), trace.KindSpin)
 	before := trace.ClockReads()
-	for _, p := range []Policy{TASTTAS, TAS, TTAS, TCLEAR, Queue, Cohort, Adaptive} {
+	for _, p := range []Policy{TASTTAS, Queue} {
 		l := NewWith(Opts{Algorithm: p, Class: c})
 		l.Lock()
 		l.Unlock()

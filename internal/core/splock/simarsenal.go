@@ -75,7 +75,20 @@ type simExt struct {
 	parks    atomic.Int64
 }
 
-func newSimExt(m *hw.Machine, o Opts) *simExt {
+// Tuning defaults for the simulated arsenal; chosen for the simulation's
+// scale, not tuned for any particular host.
+const (
+	// DefaultSpinBudget is how long an Adaptive waiter spins before
+	// parking. Roughly: long enough to cover a short critical section
+	// without a context switch, short enough that a preempted holder
+	// does not burn a processor.
+	DefaultSpinBudget = 128
+	// DefaultHandoffBudget bounds consecutive intra-cell cohort
+	// handoffs, the fairness/locality trade dial.
+	DefaultHandoffBudget = 16
+)
+
+func newSimExt(m *hw.Machine, o SimOpts) *simExt {
 	e := &simExt{
 		kind:   o.Algorithm,
 		m:      m,

@@ -38,7 +38,7 @@ type SPLLock struct {
 // the interrupt priority level of its first acquisition; pass an explicit
 // level via Bind to fix it up front.
 func NewSPL(m *hw.Machine, p Policy) *SPLLock {
-	return &SPLLock{sim: NewSimWith(Opts{Machine: m, Algorithm: p})}
+	return &SPLLock{sim: NewSimWith(SimOpts{Machine: m, Algorithm: p})}
 }
 
 // Bind fixes the lock's required SPL before first use.

@@ -9,9 +9,11 @@
 //     sequence is the paper's refined policy — one test-and-set attempt
 //     first, falling back to test-and-test-and-set spinning — because "most
 //     locks in a well designed system are acquired on the first attempt".
+//     The one alternative, an MCS queue lock (Opts{Algorithm: Queue}),
+//     serves the kernel's two central queue-lock customers.
 //   - SimLock: the instrumented lock over a simulated hw.Cell, available in
-//     all three acquisition policies (TAS, TTAS, TASTTAS) so experiment E1
-//     can count the interconnect traffic each generates.
+//     every acquisition policy so experiments E1 and E14 can count the
+//     interconnect traffic each generates.
 //   - Noop: the uniprocessor variant. Mach declares simple locks through a
 //     macro precisely so they can be compiled out of uniprocessor kernels;
 //     Noop is that compile-out, usable anywhere a Mutex is.
@@ -71,8 +73,7 @@ type Lock struct {
 	// release. See trace.HoldInfo.
 	hold atomic.Pointer[trace.HoldInfo]
 
-	// algo selects a non-default acquisition algorithm (queue, cohort,
-	// adaptive, or one of the plain spin policies); nil — the zero value
+	// algo is the MCS queue state of a Queue lock; nil — the zero value
 	// and what NewWith leaves for TASTTAS — keeps the refined-policy
 	// fast path above untouched. Immutable after InitWith, which must
 	// precede concurrent use.
@@ -95,7 +96,7 @@ func (l *Lock) Algorithm() Policy {
 	if l.algo == nil {
 		return TASTTAS
 	}
-	return l.algo.kind
+	return Queue
 }
 
 // Lock acquires the lock, spinning until it is available (simple_lock).
@@ -252,7 +253,7 @@ func (l *Lock) TryLock() bool {
 		return false
 	}
 	if l.algo != nil {
-		return l.algo.trylock(l)
+		return l.algo.tryLock(l)
 	}
 	if !atomic.CompareAndSwapInt32(&l.state, 0, 1) {
 		return false
@@ -291,10 +292,10 @@ func (Noop) Unlock() {}
 // TryLock always succeeds.
 func (Noop) TryLock() bool { return true }
 
-// Policy selects a spin-lock acquisition algorithm, for both the
-// production Lock (via NewWith/InitWith) and the simulated SimLock.
-// The zero value is TASTTAS, the paper's refined policy and the default
-// every zero-value Lock runs.
+// Policy selects a spin-lock acquisition algorithm. SimLock (NewSimWith)
+// runs every policy; the production Lock (NewWith/InitWith) runs only
+// TASTTAS and Queue, the two the kernel builds. The zero value is TASTTAS,
+// the paper's refined policy and the default every zero-value Lock runs.
 type Policy int
 
 const (
@@ -306,11 +307,12 @@ const (
 	// TAS spins directly on the atomic test-and-set instruction. Every
 	// spin iteration is a read-modify-write that steals exclusive
 	// ownership of the lock's cache line, so contended spinning floods
-	// the interconnect.
+	// the interconnect. SimLock-only (E1, E14).
 	TAS
 	// TTAS (test-and-test-and-set) spins on an ordinary load — a cache
 	// hit once the line is filled Shared — and attempts the atomic
-	// operation only when the lock is observed free.
+	// operation only when the lock is observed free. SimLock-only (E1,
+	// E14).
 	TTAS
 	// TCLEAR is the test-and-clear encoding the paper attributes to
 	// Precision Architecture ("swap 0 and 1 for a test and clear lock"):
@@ -318,9 +320,8 @@ const (
 	// reading back nonzero, release stores 1. Coherence behaviour is
 	// identical to TAS — "the basic concept is that of an atomic
 	// operation that sets the lock to a known state and returns its old
-	// value." The production Lock treats it as TAS (Go atomics have no
-	// test-and-clear encoding worth distinguishing); SimLock models the
-	// inverted encoding faithfully.
+	// value." SimLock-only: SimLock models the inverted encoding
+	// faithfully.
 	TCLEAR
 	// Queue is an MCS-style queue lock: waiters append a per-waiter
 	// qnode to a tail pointer with one atomic swap and then spin on a
@@ -335,11 +336,16 @@ const (
 	// with the local one, up to a handoff budget that bounds unfairness —
 	// so the lock word and the data it protects migrate between cells
 	// rarely (lock cohorting, Dice/Marathe/Shavit; Fissile locks).
+	// SimLock-only (E14): goroutines have no processor cell, so the
+	// locality it trades fairness for exists only on the simulated
+	// machine.
 	Cohort
 	// Adaptive is a queue lock whose waiters spin only for a bounded
 	// budget before parking (blocking) until handoff: spin-then-park,
 	// the waiting strategy tuned for lightweight-thread environments
 	// where an unbounded spinner steals the processor the holder needs.
+	// SimLock-only (E14); sleeping complex locks get spin-then-park
+	// waiting from cxlock's SpinPark option instead.
 	Adaptive
 )
 
@@ -389,13 +395,29 @@ type SimLock struct {
 	spinLoops    atomic.Int64
 }
 
+// SimOpts configures a simulated simple lock (NewSimWith).
+type SimOpts struct {
+	// Algorithm selects the acquisition policy; every Policy is valid.
+	Algorithm Policy
+	// Machine is the simulated machine whose cells hold the lock's state;
+	// required.
+	Machine *hw.Machine
+	// SpinBudget is the number of spin iterations an Adaptive waiter
+	// performs before parking; 0 means DefaultSpinBudget.
+	SpinBudget int
+	// HandoffBudget bounds consecutive same-cell handoffs for Cohort
+	// before the global word is released to other cells; 0 means
+	// DefaultHandoffBudget.
+	HandoffBudget int
+}
+
 // NewSimWith creates an unlocked simulated simple lock from options;
 // o.Machine is required. The lock-word cell's unlocked encoding is
 // policy-specific: 0 for the set-style locks, 1 for test-and-clear.
-func NewSimWith(o Opts) *SimLock {
+func NewSimWith(o SimOpts) *SimLock {
 	m := o.Machine
 	if m == nil {
-		panic("splock: NewSimWith requires Opts.Machine")
+		panic("splock: NewSimWith requires SimOpts.Machine")
 	}
 	initial := int64(0)
 	if o.Algorithm == TCLEAR {

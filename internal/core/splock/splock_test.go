@@ -99,7 +99,7 @@ func TestPolicyStrings(t *testing.T) {
 func TestSimLockBasic(t *testing.T) {
 	for _, p := range []Policy{TAS, TTAS, TASTTAS} {
 		m := hw.New(2)
-		l := NewSimWith(Opts{Machine: m, Algorithm: p})
+		l := NewSimWith(SimOpts{Machine: m, Algorithm: p})
 		c := m.CPU(0)
 		l.Lock(c)
 		if l.TryLock(m.CPU(1)) {
@@ -119,7 +119,7 @@ func TestSimLockBasic(t *testing.T) {
 func TestSimLockMutualExclusion(t *testing.T) {
 	for _, p := range []Policy{TAS, TTAS, TASTTAS} {
 		m := hw.New(4)
-		l := NewSimWith(Opts{Machine: m, Algorithm: p})
+		l := NewSimWith(SimOpts{Machine: m, Algorithm: p})
 		counter := 0
 		var wg sync.WaitGroup
 		const iters = 300
@@ -147,7 +147,7 @@ func TestSimLockMutualExclusion(t *testing.T) {
 
 func TestSimLockUnlockOfUnlockedPanics(t *testing.T) {
 	m := hw.New(1)
-	l := NewSimWith(Opts{Machine: m, Algorithm: TTAS})
+	l := NewSimWith(SimOpts{Machine: m, Algorithm: TTAS})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
@@ -166,7 +166,7 @@ func TestTTASSpinsInCache(t *testing.T) {
 	const iters = 100
 	spinBus := func(p Policy) int64 {
 		m := hw.New(3)
-		l := NewSimWith(Opts{Machine: m, Algorithm: p})
+		l := NewSimWith(SimOpts{Machine: m, Algorithm: p})
 		holder, s1, s2 := m.CPU(0), m.CPU(1), m.CPU(2)
 		l.Lock(holder)
 		m.ResetBus()
@@ -199,7 +199,7 @@ func TestTTASSpinsInCache(t *testing.T) {
 
 	// Write-through: a single TAS spinner pays on every attempt.
 	m := hw.NewWithConfig(hw.Config{CPUs: 2, WriteThrough: true})
-	l := NewSimWith(Opts{Machine: m, Algorithm: TAS})
+	l := NewSimWith(SimOpts{Machine: m, Algorithm: TAS})
 	l.Lock(m.CPU(0))
 	m.ResetBus()
 	for i := 0; i < iters; i++ {
@@ -214,7 +214,7 @@ func TestTTASSpinsInCache(t *testing.T) {
 
 func TestSimLockFirstTryAccounting(t *testing.T) {
 	m := hw.New(1)
-	l := NewSimWith(Opts{Machine: m, Algorithm: TASTTAS})
+	l := NewSimWith(SimOpts{Machine: m, Algorithm: TASTTAS})
 	c := m.CPU(0)
 	for i := 0; i < 5; i++ {
 		l.Lock(c)
@@ -234,7 +234,7 @@ func TestSimLockFirstTryAccounting(t *testing.T) {
 func TestSimLockSequentialQuick(t *testing.T) {
 	f := func(ops []bool) bool {
 		m := hw.New(1)
-		l := NewSimWith(Opts{Machine: m, Algorithm: TASTTAS})
+		l := NewSimWith(SimOpts{Machine: m, Algorithm: TASTTAS})
 		c := m.CPU(0)
 		held := false
 		for _, acquire := range ops {
@@ -260,7 +260,7 @@ func TestSimLockSequentialQuick(t *testing.T) {
 
 func TestTestAndClearEncoding(t *testing.T) {
 	m := hw.New(2)
-	l := NewSimWith(Opts{Machine: m, Algorithm: TCLEAR})
+	l := NewSimWith(SimOpts{Machine: m, Algorithm: TCLEAR})
 	if l.Policy().String() != "test-and-clear" {
 		t.Fatalf("policy = %v", l.Policy())
 	}
@@ -297,7 +297,7 @@ func TestTestAndClearEncoding(t *testing.T) {
 
 func TestTestAndClearUnlockOfUnlockedPanics(t *testing.T) {
 	m := hw.New(1)
-	l := NewSimWith(Opts{Machine: m, Algorithm: TCLEAR})
+	l := NewSimWith(SimOpts{Machine: m, Algorithm: TCLEAR})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
@@ -311,7 +311,7 @@ func TestTestAndClearUnlockOfUnlockedPanics(t *testing.T) {
 // traffic of test-and-clear equals TAS's.
 func TestTestAndClearSpinTrafficMatchesTAS(t *testing.T) {
 	m := hw.New(3)
-	l := NewSimWith(Opts{Machine: m, Algorithm: TCLEAR})
+	l := NewSimWith(SimOpts{Machine: m, Algorithm: TCLEAR})
 	l.Lock(m.CPU(0))
 	m.ResetBus()
 	for i := 0; i < 100; i++ {

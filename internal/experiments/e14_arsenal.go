@@ -1,17 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-	"runtime"
-	"sync"
-	"time"
-
 	"machlock/internal/core/splock"
 	"machlock/internal/hw"
 	"machlock/internal/stats"
-	"machlock/internal/trace"
-
-	machlock "machlock"
 )
 
 func init() {
@@ -58,71 +50,10 @@ func runE14(cfg Config) *Result {
 	}
 	res.Tables = append(res.Tables, hand)
 
-	// End-to-end throughput on the production locks (host goroutines, so
-	// scheduling-dependent; reported for completeness as E1 does): a fixed
-	// workload mix of lock/unlock pairs with a short critical section.
-	iters := cfg.scale(2000, 20000)
-	thr := stats.NewTable("end-to-end contended throughput, production locks (concurrent, scheduling-dependent)",
-		"algorithm", "goroutines", "acquisitions", "ns/acq", "handoffs", "parks")
-	for _, workers := range []int{1, 2, 4, 8, 16} {
-		for _, a := range machlock.Algorithms() {
-			perG := iters / workers
-			elapsed, st := arsenalThroughput(a, workers, perG)
-			total := workers * perG
-			thr.AddRow(a.String(), workers, total,
-				stats.Ratio(float64(elapsed.Nanoseconds()), float64(total)),
-				st.Handoffs, st.Parks)
-		}
-	}
-	res.Tables = append(res.Tables, thr)
-
-	// Recommend: drive three traced workload shapes over a default lock
-	// and show what the contention profile tells the facade to pick.
-	rec := stats.NewTable("machlock.Recommend from traced contention profiles",
-		"workload", "contention%", "p90-wait-us", "p90-hold-us", "recommendation")
-	for _, w := range []struct {
-		name string
-		run  func(c *trace.Class)
-	}{
-		{"read-mostly (uncontended)", func(c *trace.Class) {
-			recommendWorkload(c, 2, cfg.scale(500, 2000), func() { spinWork(5) })
-		}},
-		{"contended, short holds", func(c *trace.Class) {
-			recommendWorkload(c, 8, cfg.scale(300, 1500), runtime.Gosched)
-		}},
-		{"contended, long holds", func(c *trace.Class) {
-			// The yield mid-hold lets the other worker observe the lock
-			// held (single-core hosts never preempt a 50µs busy loop), so
-			// contention is measured; the waits stay well under the
-			// parking threshold, which is what separates this regime from
-			// the long-wait one below.
-			recommendWorkload(c, 2, cfg.scale(500, 600), func() {
-				spinFor(25 * time.Microsecond)
-				runtime.Gosched()
-				spinFor(25 * time.Microsecond)
-			})
-		}},
-		{"contended, long waits", func(c *trace.Class) {
-			recommendWorkload(c, 8, cfg.scale(130, 250), func() { time.Sleep(400 * time.Microsecond) })
-		}},
-	} {
-		trace.Enable()
-		c := trace.NewClass("experiments", "e14."+w.name, trace.KindSpin)
-		w.run(c)
-		p := c.Snapshot()
-		a := machlock.Recommend(c)
-		trace.Disable()
-		rec.AddRow(w.name, fmt.Sprintf("%.1f", 100*p.ContentionRate),
-			stats.Ratio(float64(p.P90WaitNs), 1000), stats.Ratio(float64(p.P90HoldNs), 1000),
-			a.String())
-	}
-	res.Tables = append(res.Tables, rec)
-
 	res.Notes = append(res.Notes,
 		"expect ttas txns/handoff to GROW with cpus (the release stampede refills every spinner) while queue/adaptive stay ~flat (one grant store into the successor's flag)",
 		"expect cohort cross-cell transfers well below queue's at the same cpu count: FIFO order alternates cells, the cohort batches them (handoff budget bounds the unfairness)",
 		"expect adaptive parks > 0 and near-queue traffic: parked waiters cost the interconnect nothing until the wakeup IPI",
-		"the recommendation table is the trace->Recommend loop: measure with the default lock, let the profile pick the algorithm",
 	)
 	return res
 }
@@ -136,10 +67,9 @@ func runE14(cfg Config) *Result {
 // adaptive parks.
 func arsenalHandoffPhase(ncpu, cells int, p splock.Policy, rounds int) (bus, cross, parks int64) {
 	m := hw.NewWithConfig(hw.Config{CPUs: ncpu, Cells: cells})
-	l := splock.NewSimWith(splock.Opts{
+	l := splock.NewSimWith(splock.SimOpts{
 		Machine:   m,
 		Algorithm: p,
-		Domains:   cells,
 		// A small budget so adaptive waiters actually park during the
 		// engagement phase; the default would spin through short chains.
 		SpinBudget: 4,
@@ -185,72 +115,4 @@ func arsenalHandoffPhase(ncpu, cells int, p splock.Policy, rounds int) (bus, cro
 	}
 	st := l.Stats()
 	return m.BusTransactions(), m.CrossCellTransfers(), st.Parks
-}
-
-// arsenalThroughput drives the production locks from host goroutines.
-// The critical section yields the processor (and sleeps every 16th
-// hold), which is what makes the table meaningful even on a single-core
-// host: without the yield, goroutines run whole scheduler quanta of
-// uncontended lock cycles back to back and no algorithm ever sees a
-// queued successor.
-func arsenalThroughput(a machlock.Algorithm, workers, perG int) (time.Duration, splock.AlgoStats) {
-	opts := []machlock.Option{machlock.WithAlgorithm(a), machlock.WithDomains(2)}
-	if a == machlock.Adaptive {
-		// A small budget so waiters actually park instead of spinning
-		// through the holder's sleep.
-		opts = append(opts, machlock.WithSpinThenPark(8))
-	}
-	l := machlock.NewSimpleLock(opts...)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				l.Lock()
-				if i%16 == 0 {
-					time.Sleep(time.Microsecond)
-				} else {
-					runtime.Gosched()
-				}
-				l.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return time.Since(start), l.AlgoStats()
-}
-
-// recommendWorkload drives workers over one traced default lock, with
-// hold() as the critical section. A Gosched separates release from the
-// next acquisition so that on a single-core host the other workers get a
-// chance to contend at all — without it the releaser's next CAS always
-// wins and the lock looks uncontended no matter how many workers run.
-func recommendWorkload(c *trace.Class, workers, iters int, hold func()) {
-	l := splock.NewWith(splock.Opts{Class: c, Name: "e14.rec"})
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				l.Lock()
-				hold()
-				l.Unlock()
-				runtime.Gosched()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// spinFor busy-waits approximately d while holding (holds must burn cpu,
-// not sleep, to model a real critical section's hold time without
-// inflating every waiter's wait past the parking threshold).
-func spinFor(d time.Duration) {
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		spinWork(5)
-	}
 }

@@ -70,7 +70,7 @@ func runE1(cfg Config) *Result {
 		"policy", "acquisitions", "first-try", "bus-txns")
 	for _, policy := range []splock.Policy{splock.TAS, splock.TTAS, splock.TASTTAS} {
 		m := hw.New(1)
-		l := splock.NewSimWith(splock.Opts{Machine: m, Algorithm: policy})
+		l := splock.NewSimWith(splock.SimOpts{Machine: m, Algorithm: policy})
 		c := m.CPU(0)
 		for i := 0; i < acquisitions; i++ {
 			l.Lock(c)
@@ -93,7 +93,7 @@ func runE1(cfg Config) *Result {
 // transactions the spinning generated. Deterministic: no goroutines.
 func spinPhase(spinners int, policy splock.Policy, iters int, writeThrough bool) int64 {
 	m := hw.NewWithConfig(hw.Config{CPUs: spinners + 1, WriteThrough: writeThrough})
-	l := splock.NewSimWith(splock.Opts{Machine: m, Algorithm: policy})
+	l := splock.NewSimWith(splock.SimOpts{Machine: m, Algorithm: policy})
 	l.Lock(m.CPU(0)) //machlock:holds — the phase measures spinners against a lock held for its whole duration
 	// Warm each spinner once so the first compulsory fill doesn't count
 	// against the steady-state rate.
@@ -116,7 +116,7 @@ func spinPhase(spinners int, policy splock.Policy, iters int, writeThrough bool)
 // transactions and spin loops.
 func contendSim(ncpu int, policy splock.Policy, acquisitions int, writeThrough bool) (bus, spins int64) {
 	m := hw.NewWithConfig(hw.Config{CPUs: ncpu, WriteThrough: writeThrough})
-	l := splock.NewSimWith(splock.Opts{Machine: m, Algorithm: policy})
+	l := splock.NewSimWith(splock.SimOpts{Machine: m, Algorithm: policy})
 	var wg sync.WaitGroup
 	for i := 0; i < ncpu; i++ {
 		wg.Add(1)

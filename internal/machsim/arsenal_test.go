@@ -1,6 +1,7 @@
 package machsim
 
 import (
+	"strings"
 	"testing"
 
 	"machlock/internal/core/cxlock"
@@ -9,10 +10,10 @@ import (
 	"machlock/internal/sched"
 )
 
-// The arsenal protocol suites: every selectable simple-lock algorithm must
-// survive the same schedule exploration the default lock does, plus the
-// algorithm-specific obligations — FIFO handoff for the queue lock, no
-// lost wakeup for the parking one, bounded unfairness for the cohort.
+// The arsenal protocol suites: the production queue lock must survive the
+// same schedule exploration the default lock does, plus its own
+// obligation — FIFO handoff — and the complex lock's spin-then-park
+// waiting must lose no wakeup.
 
 // arsenalCounterScenario builds the canonical two-thread counter over a
 // lock constructed with the given options.
@@ -93,107 +94,6 @@ func TestSimQueueFIFOCheckerCatchesOvertake(t *testing.T) {
 	}
 }
 
-// TestSimCohortLock explores the cohort lock (two domains, handoff budget
-// 1 so the global lock changes hands inside the bounded schedules). The
-// cohort deliberately emits no SpEnqueued — lock-wide FIFO is exactly
-// what it trades away — so the model checks mutual exclusion, and the
-// AtEnd counter checks no increment was lost across the two grant paths
-// (direct handoff with the global lock vs. fresh global acquisition).
-func TestSimCohortLock(t *testing.T) {
-	scenario, _ := arsenalCounterScenario(splock.Opts{
-		Algorithm:     splock.Cohort,
-		Domains:       2,
-		HandoffBudget: 1,
-	}, 2)
-	res := Explore(scenario, DFSConfig{Preemptions: 2}, Options{})
-	Check(t, res)
-	if !res.Exhausted {
-		t.Fatalf("expected the bounded space to be exhausted: %s", res.Summary())
-	}
-}
-
-// TestSimCohortFairnessBudget: with a handoff budget of 1 a domain may
-// keep the lock for at most one extra handoff before releasing the global
-// word, so two threads pinned (by round-robin assignment) to different
-// domains must both finish — the bounded-unfairness contract. A stuck
-// cross-domain waiter would deadlock the exploration and fail Check.
-func TestSimCohortFairnessBudget(t *testing.T) {
-	scenario := func(s *Sim) {
-		l := splock.NewWith(splock.Opts{
-			Algorithm:     splock.Cohort,
-			Domains:       2,
-			HandoffBudget: 1,
-		})
-		s.Label(l, "cohort.lock")
-		done := [2]int{}
-		for i := 0; i < 2; i++ {
-			i := i
-			s.Spawn("cell", func(_ *sched.Thread) {
-				for j := 0; j < 3; j++ {
-					l.Lock()
-					done[i]++
-					l.Unlock()
-				}
-			})
-		}
-		s.AtEnd(func(fail func(string, ...any)) {
-			if done[0] != 3 || done[1] != 3 {
-				fail("a domain starved: %v", done)
-			}
-		})
-	}
-	res := Random(scenario, 200, 11, Options{})
-	Check(t, res)
-}
-
-// TestSimAdaptivePark drives the adaptive lock with a spin budget of 1 so
-// waiters park under contention, with spurious wakeups injected: a parked
-// waiter woken for no reason must re-evaluate and re-park, never treat
-// the wakeup as a grant, and never miss the real handoff (no lost
-// wakeup, no duplicate hold).
-func TestSimAdaptivePark(t *testing.T) {
-	scenario, _ := arsenalCounterScenario(splock.Opts{
-		Algorithm:  splock.Adaptive,
-		SpinBudget: 1,
-	}, 2)
-	res := Random(scenario, 300, 3, Options{SpuriousWakeups: true})
-	Check(t, res)
-
-	res = Explore(scenario, DFSConfig{Preemptions: 2}, Options{})
-	Check(t, res)
-	if !res.Exhausted {
-		t.Fatalf("expected the bounded space to be exhausted: %s", res.Summary())
-	}
-}
-
-// TestSimAdaptiveActuallyParks confirms the adaptive scenario exercises
-// the park path (otherwise the suite above would only ever test the spin
-// window): across the explored schedules at least one waiter must have
-// exhausted its one-iteration budget and parked.
-func TestSimAdaptiveActuallyParks(t *testing.T) {
-	var parks int64
-	scenario := func(s *Sim) {
-		l := splock.NewWith(splock.Opts{Algorithm: splock.Adaptive, SpinBudget: 1})
-		s.Label(l, "adaptive.lock")
-		body := func(_ *sched.Thread) {
-			for i := 0; i < 2; i++ {
-				l.Lock()
-				l.Unlock()
-			}
-		}
-		s.Spawn("a", body)
-		s.Spawn("b", body)
-		s.AtEnd(func(func(string, ...any)) {
-			parks += l.AlgoStats().Parks
-		})
-	}
-	res := Explore(scenario, DFSConfig{Preemptions: 2}, Options{})
-	Check(t, res)
-	if parks == 0 {
-		t.Fatal("no schedule parked a waiter; the park path went untested")
-	}
-}
-
 // TestSimCxSpinThenPark: the complex lock's spin-then-park waiting
 // strategy under spurious wakeups. A waiter inside its spin window that
 // is spuriously restarted, or parked and spuriously woken, must re-check
@@ -224,12 +124,25 @@ func TestSimCxSpinThenPark(t *testing.T) {
 }
 
 // TestSimCxInterlockAlgorithms runs the complex-lock writer pair over
-// each arsenal interlock: the interlock is a drop-in replacement, so the
-// whole cxlock protocol must hold unchanged on top of it.
+// the queue interlock: the interlock is a drop-in replacement, so the
+// whole cxlock protocol must hold unchanged on top of it. The
+// SimLock-only policies' rows check that cxlock refuses them as an
+// interlock, as splock's production constructors do.
 func TestSimCxInterlockAlgorithms(t *testing.T) {
-	for _, p := range []splock.Policy{splock.Queue, splock.Cohort, splock.Adaptive} {
+	for _, p := range []splock.Policy{splock.Queue, splock.TAS, splock.TTAS,
+		splock.TCLEAR, splock.Cohort, splock.Adaptive} {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
+			if p != splock.Queue {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "NewSimWith") {
+						t.Fatalf("cxlock accepted SimLock-only interlock %v (recovered %q)", p, msg)
+					}
+				}()
+				cxlock.NewWith(cxlock.Options{Interlock: p, Name: "il." + p.String()})
+				return
+			}
 			scenario := func(s *Sim) {
 				l := cxlock.NewWith(cxlock.Options{Interlock: p, Name: "il." + p.String()})
 				s.Label(l, "il."+p.String())

@@ -367,7 +367,7 @@ func (s *Sim) Yield(p simhook.Point, obj any) {
 	vt.pobj = obj
 	s.trace(fmt.Sprintf("yield %-18s %s", p, s.nameOf(obj)))
 	s.countStep()
-	voluntary := p == simhook.SpSpin || p == simhook.CxSpin || p == simhook.SpPark
+	voluntary := p == simhook.SpSpin || p == simhook.CxSpin
 	chosen := s.pick(vt, voluntary)
 	if chosen == nil {
 		panic(simAbort{})

@@ -37,9 +37,8 @@ func newModels(s *Sim) *models {
 // also tracks arrival order (from SpEnqueued notes) and the in-transit
 // window between a holder's SpHandoff and the successor's SpAcquired, so
 // it can check FIFO handoff: an acquirer that is queued but not at the
-// head jumped the queue. Cohort locks deliberately emit no SpEnqueued
-// (lock-wide order is not FIFO — that is the design), so for them this
-// collapses back to the plain mutual-exclusion check.
+// head jumped the queue. Locks that emit no SpEnqueued (the default
+// TAS+TTAS lock) get the plain mutual-exclusion check.
 type spModel struct {
 	held    bool
 	owner   *vthread

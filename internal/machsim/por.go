@@ -20,8 +20,8 @@ import (
 // because the substrate's instrumentation brackets every shared-state
 // transition with yields on the owning object:
 //
-//   - splock steps (SpLock/SpSpin/SpTry/SpUnlock/SpPark) touch the lock
-//     word, the queue/park nodes of that lock, and — in the step that runs
+//   - splock steps (SpLock/SpSpin/SpTry/SpUnlock) touch the lock
+//     word, the queue nodes of that lock, and — in the step that runs
 //     the caller's critical section — data protected by that lock. Two
 //     steps on different lock objects commute.
 //   - cxlock entry yields (CxRead/CxWrite/...) open empty steps: the very
@@ -128,7 +128,6 @@ type opRef struct {
 func pendingOf(vt *vthread) opRef {
 	switch vt.point {
 	case simhook.SpLock, simhook.SpSpin, simhook.SpUnlock, simhook.SpTry,
-		simhook.SpPark,
 		simhook.CxRead, simhook.CxWrite, simhook.CxDone, simhook.CxTryRead,
 		simhook.CxTryWrite, simhook.CxUpgrade, simhook.CxTryUpgrade,
 		simhook.CxDowngrade, simhook.CxSpin, simhook.CxAcquired,

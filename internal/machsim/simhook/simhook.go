@@ -49,7 +49,6 @@ const (
 	SpTry      // Yield: entry to TryLock
 	SpAcquired // Note: the test-and-set succeeded
 	SpReleased // Note: the release store happened
-	SpPark     // Yield: adaptive waiter exhausted its spin budget and parked
 	SpEnqueued // Note: queue-lock waiter appended its qnode (n = ticket)
 	SpHandoff  // Note: queue-lock holder handed the lock to its successor
 
@@ -103,12 +102,14 @@ const (
 	SchedClearWait  // Yield: entry to ClearWait
 	SchedBlocked    // Note: thread committed to blocking (state=blocked)
 	SchedUnblocked  // Note: thread made runnable again (n = WaitResult)
+
+	numPoints // sentinel: one past the last point; keep last
 )
 
 var pointNames = map[Point]string{
 	SpLock: "sp.lock", SpSpin: "sp.spin", SpUnlock: "sp.unlock",
 	SpTry: "sp.try", SpAcquired: "sp.acquired", SpReleased: "sp.released",
-	SpPark: "sp.park", SpEnqueued: "sp.enqueued", SpHandoff: "sp.handoff",
+	SpEnqueued: "sp.enqueued", SpHandoff: "sp.handoff",
 	CxRead: "cx.read", CxWrite: "cx.write", CxDone: "cx.done",
 	CxTryRead: "cx.tryread", CxTryWrite: "cx.trywrite",
 	CxUpgrade: "cx.upgrade", CxTryUpgrade: "cx.tryupgrade",

@@ -46,43 +46,20 @@ type Zone[T any] struct {
 	construct func() *T
 }
 
-// Option configures a zone beyond the required name/capacity/constructor.
-type Option func(*zoneConfig)
-
-type zoneConfig struct {
-	algorithm splock.Policy
-}
-
-// WithLockAlgorithm selects the zone lock's acquisition algorithm (the
-// splock arsenal). The default is the paper's TAS/TTAS hybrid; a central
-// zone fed by many processors (the kernel's object zones) is the textbook
-// queue-lock customer.
-func WithLockAlgorithm(p splock.Policy) Option {
-	return func(c *zoneConfig) { c.algorithm = p }
-}
-
 // NewZone creates a zone holding at most capacity elements, constructed on
 // demand by construct (nil means new(T)).
-func NewZone[T any](name string, capacity int, construct func() *T, opts ...Option) *Zone[T] {
+func NewZone[T any](name string, capacity int, construct func() *T) *Zone[T] {
 	if capacity < 1 {
 		panic("zalloc: zone capacity must be positive")
 	}
 	if construct == nil {
 		construct = func() *T { return new(T) }
 	}
-	var cfg zoneConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
 	z := &Zone[T]{name: name, capacity: capacity, construct: construct}
 	// One class per zone name: zones of the same name (across restarts or
 	// generic instantiations) share a profile entry, as kernel zones do.
 	z.class = trace.NewClass("zalloc", "zone."+name, trace.KindSpin)
-	z.lock.InitWith(splock.Opts{
-		Algorithm: cfg.algorithm,
-		Class:     z.class,
-		Name:      "zone." + name,
-	})
+	z.lock.InitWith(splock.Opts{Class: z.class, Name: "zone." + name})
 	return z
 }
 

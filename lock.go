@@ -39,39 +39,25 @@ var _ RWLocker = (*ComplexLock)(nil)
 
 // Algorithm selects the acquisition algorithm of a simple lock — or, for
 // a complex lock, of the interlock guarding its internal state. The
-// catalog (DESIGN §13):
+// production catalog (DESIGN §13):
 //
 //	Default   the paper's hybrid: one test-and-set, then test-then-set
 //	          spinning. Unbeatable uncontended; degrades under load.
-//	TAS       pure test-and-set spin: every attempt is an interconnect
-//	          write. The Appendix A strawman; kept for experiments.
-//	TTAS      pure test-then-set: waiters spin in their caches and only
-//	          write when the lock looks free.
 //	Queue     MCS queue lock: each waiter spins on its own cache line
 //	          and the holder hands off to the first in line. FIFO-fair,
 //	          constant interconnect traffic at any thread count.
-//	Cohort    topology-aware two-level lock: a global word plus one MCS
-//	          queue per hardware cell, preferring handoff within the
-//	          holder's cell (bounded by a handoff budget) so the lock —
-//	          and the data it protects — migrate between cells rarely.
-//	Adaptive  spin-then-park queue lock: waiters spin a bounded budget,
-//	          then park and are woken by the handoff, covering short
-//	          holds without burning processors on long ones.
+//
+// The other spin policies the paper and its successors discuss (pure
+// TAS and TTAS, test-and-clear, cohort, adaptive spin-then-park) are
+// claims about interconnect traffic; they run on the coherence
+// simulator only (splock.NewSimWith, experiments E1 and E14).
 type Algorithm int
 
 const (
 	// Default is the zero value: the TAS/TTAS hybrid of Appendix A.
 	Default Algorithm = iota
-	// TAS is pure test-and-set (experiment baseline).
-	TAS
-	// TTAS is pure test-then-set.
-	TTAS
 	// Queue is the MCS queue lock.
 	Queue
-	// Cohort is the two-level topology-aware lock.
-	Cohort
-	// Adaptive is the spin-then-park queue lock.
-	Adaptive
 )
 
 // String names the algorithm as used in reports and bench labels.
@@ -79,16 +65,8 @@ func (a Algorithm) String() string {
 	switch a {
 	case Default:
 		return "default"
-	case TAS:
-		return "tas"
-	case TTAS:
-		return "ttas"
 	case Queue:
 		return "queue"
-	case Cohort:
-		return "cohort"
-	case Adaptive:
-		return "adaptive"
 	}
 	return "unknown"
 }
@@ -98,24 +76,16 @@ func (a Algorithm) policy() splock.Policy {
 	switch a {
 	case Default:
 		return splock.TASTTAS
-	case TAS:
-		return splock.TAS
-	case TTAS:
-		return splock.TTAS
 	case Queue:
 		return splock.Queue
-	case Cohort:
-		return splock.Cohort
-	case Adaptive:
-		return splock.Adaptive
 	}
 	panic("machlock: unknown Algorithm")
 }
 
-// Algorithms lists every selectable Algorithm, in catalog order; the
-// shootout experiment and bench sweeps range over it.
+// Algorithms lists every selectable Algorithm, in catalog order; bench
+// sweeps range over it.
 func Algorithms() []Algorithm {
-	return []Algorithm{Default, TAS, TTAS, Queue, Cohort, Adaptive}
+	return []Algorithm{Default, Queue}
 }
 
 // config is the merged option sink: one With… list configures either lock
@@ -161,8 +131,8 @@ func WithName(name string) Option {
 
 // WithClass attaches the lock to a trace observability class; all locks
 // sharing a class aggregate into one contention-profile row, and the
-// arsenal's wait/handoff accounting flows into the same blame machinery
-// regardless of algorithm.
+// queue lock's wait/handoff accounting flows into the same blame
+// machinery as the default lock's.
 func WithClass(cl *TraceClass) Option {
 	return func(c *config) { c.cx.Class, c.sp.Class = cl, cl }
 }
@@ -179,24 +149,12 @@ func WithAlgorithm(a Algorithm) Option {
 	}
 }
 
-// WithSpinThenPark sets the spin-then-park budget. On a complex lock,
-// waiters spin for budget rounds before committing to a block (implies
-// the Sleep option — parking is sleeping). On a simple lock it implies
-// WithAlgorithm(Adaptive) and sizes that algorithm's spin window.
+// WithSpinThenPark sets the spin-then-park budget: waiters spin for
+// budget rounds before committing to a block (implies the Sleep option —
+// parking is sleeping). Complex locks only.
 func WithSpinThenPark(budget int) Option {
-	return func(c *config) {
-		c.cx.SpinPark = budget
-		c.sp.SpinBudget = budget
-		if c.sp.Algorithm == splock.TASTTAS {
-			c.sp.Algorithm = splock.Adaptive
-		}
-	}
+	return func(c *config) { c.cx.SpinPark = budget }
 }
-
-// WithDomains sets the number of cohort domains (Cohort algorithm only);
-// zero means the default. More domains mean less cross-domain lock
-// migration but longer worst-case FIFO inversion windows.
-func WithDomains(n int) Option { return func(c *config) { c.sp.Domains = n } }
 
 // NewLock builds a complex lock from options:
 //
@@ -227,55 +185,4 @@ func NewSimpleLock(opts ...Option) *SimpleLock {
 		opt(&c)
 	}
 	return splock.NewWith(c.sp)
-}
-
-// Recommendation thresholds for Recommend, exported for tests and the
-// shootout experiment's write-up.
-const (
-	// recommendMinSample: below this many acquisitions the profile is
-	// noise; keep the default.
-	recommendMinSample = 1000
-	// recommendContended: contention rate at which spinning algorithms
-	// start burning interconnect bandwidth and a queue pays off.
-	recommendContended = 0.10
-	// recommendParkNs: a P90 wait this long (≈ several context-switch
-	// quanta) means waiters should park rather than spin.
-	recommendParkNs = int64(250_000)
-	// recommendCohortHoldNs: holds this long under heavy contention
-	// amortize a cohort's bounded unfairness into locality wins.
-	recommendCohortHoldNs = int64(20_000)
-	// recommendHeavy: contention rate treated as pathological.
-	recommendHeavy = 0.40
-)
-
-// Recommend suggests an Algorithm for a lock class from its observed
-// contention profile (trace must have been enabled while the workload
-// ran). The heuristic follows the shootout experiment's findings:
-//
-//	contention < 10% (or too few samples)  -> Default: the uncontended
-//	    fast path dominates and nothing beats one CAS.
-//	P90 wait ≥ 250µs                       -> Adaptive: waits span many
-//	    scheduling quanta; spinning through them burns processors.
-//	contention ≥ 40% and P90 hold ≥ 20µs   -> Cohort: heavy traffic with
-//	    real work under the lock; batching handoffs within a cell keeps
-//	    the protected data's cache lines home.
-//	otherwise                              -> Queue: contended but
-//	    short-held; MCS gives constant traffic and FIFO fairness.
-//
-// A nil class returns Default.
-func Recommend(cl *TraceClass) Algorithm {
-	if cl == nil {
-		return Default
-	}
-	p := cl.Snapshot()
-	if p.Acquisitions < recommendMinSample || p.ContentionRate < recommendContended {
-		return Default
-	}
-	if p.P90WaitNs >= recommendParkNs {
-		return Adaptive
-	}
-	if p.ContentionRate >= recommendHeavy && p.P90HoldNs >= recommendCohortHoldNs {
-		return Cohort
-	}
-	return Queue
 }

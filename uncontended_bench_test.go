@@ -169,24 +169,17 @@ func BenchmarkUncontendedZone(b *testing.B) {
 	}
 }
 
-// The arsenal's uncontended fast paths. The acceptance bar for PR 7 is
-// twofold: BenchmarkUncontendedSpin (the default TAS/TTAS path, whose
-// dispatch now checks one extra nil pointer) must stay within 5% of its
-// pre-arsenal numbers, and each algorithm's own single-thread cycle is
-// recorded here so regressions in the queue/cohort/adaptive fast paths
-// (uncontended MCS is one swap + one CAS) are visible.
-func benchUncontendedAlgo(b *testing.B, p splock.Policy) {
-	l := splock.NewWith(splock.Opts{Algorithm: p, Domains: 2})
+// BenchmarkUncontendedQueue: the queue lock's uncontended cycle (one
+// swap + one CAS), beside BenchmarkUncontendedSpin's default path, whose
+// dispatch checks one nil pointer for it.
+func BenchmarkUncontendedQueue(b *testing.B) {
+	l := splock.NewWith(splock.Opts{Algorithm: splock.Queue})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.Lock()
 		l.Unlock()
 	}
 }
-
-func BenchmarkUncontendedQueue(b *testing.B)    { benchUncontendedAlgo(b, splock.Queue) }
-func BenchmarkUncontendedCohort(b *testing.B)   { benchUncontendedAlgo(b, splock.Cohort) }
-func BenchmarkUncontendedAdaptive(b *testing.B) { benchUncontendedAlgo(b, splock.Adaptive) }
 
 // BenchmarkUncontendedFacade: the full option path — NewSimpleLock with
 // an algorithm — cycled once per construction amortized away; measures
