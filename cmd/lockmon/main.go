@@ -75,10 +75,10 @@ func main() {
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("lockmon: monitor up, debug surface at %s/debug/machlock/\n", base)
 
-	// Sample every hold/wait stack: lockmon is a demo and self-check, not a
+	// Sample every hold and wait: lockmon is a demo and self-check, not a
 	// hot kernel, so rich profiles beat the sampling discount — and the
 	// smoke's pprof assertions stay deterministic.
-	trace.SetStackSampling(1)
+	trace.SetSampling(1)
 
 	fmt.Printf("lockmon: driving vm/ipc/zalloc workloads (%d threads x %d ops each)\n", *threads, *ops)
 	runWorkloads(*threads, *ops)

@@ -25,8 +25,8 @@ func blameHolderTakesLock(l *Lock, t *sched.Thread) {
 func TestHolderBlameNamesCallSite(t *testing.T) {
 	trace.Enable()
 	defer trace.Disable()
-	trace.SetStackSampling(1)
-	defer trace.SetStackSampling(trace.DefaultStackSampleRate)
+	trace.SetSampling(1)
+	defer trace.SetSampling(trace.DefaultSampleRate)
 
 	cls := trace.NewClass("cxlocktest", t.Name(), trace.KindComplex)
 	l := NewWith(Options{Sleep: true, Name: t.Name(), Class: cls})
@@ -85,8 +85,8 @@ func TestHolderBlameNamesCallSite(t *testing.T) {
 func TestBlameUnsampledHolderIsUnattributed(t *testing.T) {
 	trace.Enable()
 	defer trace.Disable()
-	trace.SetStackSampling(0) // no holds sampled
-	defer trace.SetStackSampling(trace.DefaultStackSampleRate)
+	trace.SetSampling(0) // no holds sampled
+	defer trace.SetSampling(trace.DefaultSampleRate)
 
 	cls := trace.NewClass("cxlocktest", t.Name(), trace.KindComplex)
 	l := NewWith(Options{Sleep: true, Name: t.Name(), Class: cls})

@@ -25,6 +25,7 @@ func classedLock(t *testing.T) (*Lock, *trace.Class, trace.Profile) {
 // statistics — acquisitions, downgrades and occupancy hold times land in
 // the class profile with no per-instance wrapper.
 func TestClassCountsAndHistograms(t *testing.T) {
+	sampleEvery(t)
 	l, cls, before := classedLock(t)
 	th := sched.New("t")
 	l.Read(th)
@@ -84,5 +85,50 @@ func TestClassContendedWait(t *testing.T) {
 	}
 	if p.MeanWaitNs <= 0 || p.MaxWaitNs <= 0 {
 		t.Fatalf("wait histogram empty: mean=%f max=%d", p.MeanWaitNs, p.MaxWaitNs)
+	}
+}
+
+// TestClassCountsExactAtEveryRate: grants and releases on every path —
+// interlocked reads and writes, a try-read, recursive grants — are
+// counted exactly whatever the sampling rate.
+func TestClassCountsExactAtEveryRate(t *testing.T) {
+	trace.Enable()
+	defer trace.Disable()
+	t.Cleanup(func() { trace.SetSampling(trace.DefaultSampleRate) })
+	for _, rate := range []int{0, 1, 16} {
+		trace.SetSampling(rate)
+		cls := trace.NewClass("cxlock", fmt.Sprintf("%s-%d", t.Name(), rate), trace.KindComplex)
+		before := cls.Snapshot() // the registry survives in-process reruns
+		l := NewWith(Options{Recursive: true, Class: cls})
+		th := sched.New("t")
+		const rounds = 40
+		for i := 0; i < rounds; i++ {
+			l.Read(th)
+			l.Done(th)
+			l.Write(th)
+			l.Done(th)
+			if !l.TryRead(th) {
+				t.Fatal("TryRead failed on a free lock")
+			}
+			if l.TryWrite(nil) {
+				t.Fatal("TryWrite succeeded under a read hold")
+			}
+			l.Done(th)
+			l.Write(th)
+			l.SetRecursive(th)
+			l.Write(th)
+			l.Read(th)
+			l.Done(th)
+			l.Done(th)
+			l.ClearRecursive(th)
+			l.Done(th)
+		}
+		p := cls.Snapshot()
+		// Per round: read, write, try-read, write, recursive write,
+		// recursive read — 6 grants and 6 releases.
+		acq, rel := p.Acquisitions-before.Acquisitions, p.Releases-before.Releases
+		if acq != 6*rounds || rel != 6*rounds {
+			t.Fatalf("rate %d: acquisitions/releases = %d/%d, want %d each", rate, acq, rel, 6*rounds)
+		}
 	}
 }

@@ -108,7 +108,7 @@ type Lock struct {
 	// acquiredAt stamps the current hold occupancy (first reader in, or
 	// writer in) with the trace clock (trace.Now), the same reading the
 	// grant's acquire event carries; protected by the interlock, nonzero
-	// only while instrumented.
+	// only for an occupancy whose first grant was sampled.
 	acquiredAt int64
 	// hold is the sampled identity of the current occupancy's first
 	// holder, published for waiters to blame (trace.Class.BlameWait) and
@@ -126,41 +126,67 @@ func tidOf(t *sched.Thread) uint32 {
 	return t.TraceID()
 }
 
-// recordAcquired feeds one granted hold to the class profile; called
-// outside the interlock, like the observer hooks. Contended acquisitions
-// also feed the waiter-side site profile (sampled). Hot paths gate the
-// call on class.On() — one atomic load on the common (untraced) path. now
-// is the grant's trace-clock reading (0: the event takes its own).
-func (l *Lock) recordAcquired(t *sched.Thread, now int64, contended bool, waitNs int64) {
-	l.class.AcquiredAt(now, tidOf(t), contended, waitNs)
-	if contended && waitNs > 0 {
-		l.class.WaitSampled(1, waitNs)
+// grantStamp counts a grant of an instrumented lock, under the interlock
+// at the grant. It reads the clock only when the grant needs it: when
+// the sampler picked it, or when it ends a timed wait. A sampled grant
+// that starts an occupancy (first is writer in, or first reader in)
+// stamps it, so an occupancy is stamped if and only if its first grant
+// was sampled.
+func (l *Lock) grantStamp(waited, first bool) (now int64, sampled bool) {
+	sampled = l.class.Acquire()
+	if sampled || waited {
+		now = trace.Now()
+	}
+	if sampled && first {
+		l.acquiredAt = now
+	}
+	return now, sampled
+}
+
+// recordAcquired finishes one grant's trace record outside the interlock,
+// like the observer hooks: a grant that waited since waitStart feeds the
+// wait profile (always), a sampled one records its ring event. now is
+// grantStamp's reading.
+func (l *Lock) recordAcquired(t *sched.Thread, now int64, sampled, waited bool, waitStart int64) {
+	var waitNs int64
+	if waited {
+		waitNs = now - waitStart
+		l.class.Waited(1, waitNs)
+	}
+	if sampled {
+		l.class.AcquireEvent(now, tidOf(t), waitNs)
 	}
 }
 
-// recordReleased feeds one release; holdNs < 0 means no occupancy sample
-// ended with this release (e.g. a reader left while others remain). h is
-// the holder identity the occupancy published, if any — its hold duration
-// lands in the class's hold-site profile. now is the reading holdNs was
-// measured at (0 when no occupancy ended: the event takes its own).
+// recordRecursive records a recursive grant by the designated holder:
+// counted, and recorded in the ring if sampled. It starts no occupancy,
+// so it stamps nothing.
+func (l *Lock) recordRecursive(t *sched.Thread) {
+	if l.class.Acquire() {
+		l.class.AcquireEvent(0, tidOf(t), 0)
+	}
+}
+
+// recordReleased feeds one release. holdNs >= 0 means the release ended a
+// stamped occupancy: it is timed (the reading now), recorded in the ring,
+// and its duration lands in the hold histogram and, under the holder
+// identity h the occupancy published, in the hold-site profile. Any other
+// release is only counted.
 func (l *Lock) recordReleased(t *sched.Thread, now, holdNs int64, h *trace.HoldInfo) {
-	l.class.ReleasedAt(now, tidOf(t), holdNs)
-	if holdNs >= 0 {
-		l.class.EndHold(h, holdNs)
+	if holdNs < 0 {
+		l.class.Release()
+		return
 	}
+	l.class.ReleasedAt(now, tidOf(t), holdNs)
+	l.class.EndHold(h, holdNs)
 }
 
-// publishHold samples this acquisition for holder blame: 1-in-N grants
-// capture the acquiring stack and publish it on l.hold for waiters to
-// read. Call only for the grant that starts an occupancy (writer in, or
-// first reader in) — later readers share the first-in holder's blame.
-// Every caller is already behind its grant's On() check, so untraced
-// locks never reach this call. now is the occupancy's hold stamp.
+// publishHold publishes the holder identity of a sampled occupancy for
+// waiters to blame: it captures the acquiring stack into l.hold. Call
+// only for the sampled grant that started the occupancy (later readers
+// share the first-in holder's blame). now is the occupancy's hold stamp.
 func (l *Lock) publishHold(t *sched.Thread, now int64) {
-	if h := l.class.SampleHold(1, tidOf(t)); h != nil {
-		h.Since = now
-		l.hold.Store(h)
-	}
+	l.hold.Store(l.class.BeginHold(1, now, tidOf(t)))
 }
 
 // takeHold retires the published holder identity at end of occupancy;
@@ -309,7 +335,7 @@ func (l *Lock) Write(t *sched.Thread) {
 	simhook.Yield(simhook.CxWrite, l)
 	instr := l.class.On()
 	var waitStart, now int64
-	waited := false
+	waited, sampled := false, false
 	l.interlock.Lock()
 	if t != nil && l.holder == t {
 		if !l.wantWrite && !l.wantUpgrade {
@@ -325,7 +351,7 @@ func (l *Lock) Write(t *sched.Thread) {
 		l.interlock.Unlock()
 		obAcquired(l, t)
 		if instr {
-			l.recordAcquired(t, 0, false, 0)
+			l.recordRecursive(t)
 		}
 		return
 	}
@@ -363,23 +389,16 @@ func (l *Lock) Write(t *sched.Thread) {
 	l.stats.writes.Add(1)
 	simhook.Note(simhook.CxWriteGrant, l, 0)
 	if instr {
-		now = trace.Now()
-		l.acquiredAt = now
+		now, sampled = l.grantStamp(waited, true)
 	}
 	l.interlock.Unlock()
-	if instr {
-		// instr false means the class is off, so the untraced grant
-		// path skips even the sampling branch.
+	if sampled {
 		l.publishHold(t, now)
 	}
 	obAcquired(l, t)
 	simhook.Yield(simhook.CxAcquired, l)
 	if instr {
-		var waitNs int64
-		if waited {
-			waitNs = now - waitStart
-		}
-		l.recordAcquired(t, now, waited, waitNs)
+		l.recordAcquired(t, now, sampled, waited, waitStart)
 	}
 }
 
@@ -395,22 +414,16 @@ func (l *Lock) Read(t *sched.Thread) {
 	}
 	instr := l.class.On()
 	var waitStart, now int64
-	waited := false
+	waited, sampled := false, false
 	l.interlock.Lock()
 	if t != nil && l.holder == t {
 		l.readCount++
 		l.stats.reads.Add(1)
 		simhook.Note(simhook.CxReadGrantRec, l, int64(l.readCount))
-		if instr {
-			now = trace.Now()
-			if l.acquiredAt == 0 {
-				l.acquiredAt = now
-			}
-		}
 		l.interlock.Unlock()
 		obAcquired(l, t)
 		if instr {
-			l.recordAcquired(t, now, false, 0)
+			l.recordRecursive(t)
 		}
 		return
 	}
@@ -428,26 +441,19 @@ func (l *Lock) Read(t *sched.Thread) {
 	simhook.Note(simhook.CxReadGrant, l, int64(l.readCount))
 	l.maybeRearmLocked()
 	// Occupancy: the hold sample spans from the first reader in to the
-	// last reader out, so only the 0→1 transition stamps the clock.
+	// last reader out, so only a sampled 0→1 transition stamps it.
 	first := l.readCount == 1
 	if instr {
-		now = trace.Now()
-		if first {
-			l.acquiredAt = now
-		}
+		now, sampled = l.grantStamp(waited, first)
 	}
 	l.interlock.Unlock()
-	if instr && first {
+	if sampled && first {
 		l.publishHold(t, now)
 	}
 	obAcquired(l, t)
 	simhook.Yield(simhook.CxAcquired, l)
 	if instr {
-		var waitNs int64
-		if waited {
-			waitNs = now - waitStart
-		}
-		l.recordAcquired(t, now, waited, waitNs)
+		l.recordAcquired(t, now, sampled, waited, waitStart)
 	}
 }
 
@@ -494,7 +500,10 @@ func (l *Lock) ReadToWrite(t *sched.Thread) bool {
 		holdNs := int64(-1)
 		var now int64
 		var h *trace.HoldInfo
-		if instr && l.readCount == 0 && l.acquiredAt != 0 {
+		// As in Done, an ending occupancy always retires its stamp: an
+		// unsampled grant never overwrites one, so a stamp left behind
+		// would time the next occupancy from this one's start.
+		if l.readCount == 0 && l.acquiredAt != 0 {
 			now = trace.Now()
 			holdNs = now - l.acquiredAt
 			l.acquiredAt = 0
@@ -521,17 +530,11 @@ func (l *Lock) ReadToWrite(t *sched.Thread) bool {
 	l.stats.upgrades.Add(1)
 	simhook.Note(simhook.CxUpgradeGrant, l, 0)
 	// The hold continues across the upgrade: if this thread was the only
-	// reader its occupancy stamp carries over; if other readers ended the
-	// occupancy while we drained, restart the stamp for the write hold.
-	restamped := instr && l.acquiredAt == 0
-	if restamped {
-		l.acquiredAt = trace.Now()
-	}
-	at := l.acquiredAt
+	// reader its occupancy stamp (if the occupancy was sampled) carries
+	// over. An upgrade is not an acquisition, so it never stamps: if
+	// other readers ended the occupancy while we drained, the write hold
+	// is unsampled.
 	l.interlock.Unlock()
-	if restamped {
-		l.publishHold(t, at)
-	}
 	l.class.Upgraded(true)
 	simhook.Yield(simhook.CxAcquired, l)
 	return false
@@ -600,10 +603,9 @@ func (l *Lock) Done(t *sched.Thread) {
 	holdNs := int64(-1)
 	var now int64
 	var h *trace.HoldInfo
-	// A published hold implies the occupancy was instrumented (publishing
-	// requires the class to be on), so the stamp
-	// check also guards the hold retire — the untraced release path pays
-	// nothing here.
+	// A published hold implies a stamped (sampled) occupancy, so the
+	// stamp check also guards the hold retire — the untraced and the
+	// unsampled release paths pay nothing here.
 	if endHold && l.acquiredAt != 0 {
 		now = trace.Now()
 		holdNs = now - l.acquiredAt
@@ -632,22 +634,15 @@ func (l *Lock) TryRead(t *sched.Thread) bool {
 		return true
 	}
 	instr := l.class.On()
-	var now int64
 	l.interlock.Lock()
 	defer l.interlock.Unlock()
 	if t != nil && l.holder == t {
 		l.readCount++
 		l.stats.reads.Add(1)
 		simhook.Note(simhook.CxReadGrantRec, l, int64(l.readCount))
-		if instr {
-			now = trace.Now()
-			if l.acquiredAt == 0 {
-				l.acquiredAt = now
-			}
-		}
 		defer obAcquired(l, t)
 		if instr {
-			defer l.recordAcquired(t, now, false, 0)
+			defer l.recordRecursive(t)
 		}
 		return true
 	}
@@ -659,16 +654,14 @@ func (l *Lock) TryRead(t *sched.Thread) bool {
 	simhook.Note(simhook.CxReadGrant, l, int64(l.readCount))
 	l.maybeRearmLocked()
 	if instr {
-		now = trace.Now()
-		if l.readCount == 1 {
-			l.acquiredAt = now
+		first := l.readCount == 1
+		now, sampled := l.grantStamp(false, first)
+		if sampled && first {
 			defer l.publishHold(t, now)
 		}
+		defer l.recordAcquired(t, now, sampled, false, 0)
 	}
 	defer obAcquired(l, t)
-	if instr {
-		defer l.recordAcquired(t, now, false, 0)
-	}
 	return true
 }
 
@@ -691,7 +684,7 @@ func (l *Lock) TryWrite(t *sched.Thread) bool {
 		simhook.Note(simhook.CxRecurseGrant, l, int64(l.depth))
 		defer obAcquired(l, t)
 		if instr {
-			defer l.recordAcquired(t, 0, false, 0)
+			defer l.recordRecursive(t)
 		}
 		return true
 	}
@@ -712,16 +705,14 @@ func (l *Lock) TryWrite(t *sched.Thread) bool {
 	l.wantWrite = true
 	l.stats.writes.Add(1)
 	simhook.Note(simhook.CxWriteGrant, l, 0)
-	var now int64
 	if instr {
-		now = trace.Now()
-		l.acquiredAt = now
-		defer l.publishHold(t, now)
+		now, sampled := l.grantStamp(false, true)
+		if sampled {
+			defer l.publishHold(t, now)
+		}
+		defer l.recordAcquired(t, now, sampled, false, 0)
 	}
 	defer obAcquired(l, t)
-	if instr {
-		defer l.recordAcquired(t, now, false, 0)
-	}
 	return true
 }
 
@@ -778,15 +769,9 @@ func (l *Lock) TryReadToWrite(t *sched.Thread) bool {
 	l.noteBiasDrainedLocked()
 	l.stats.upgrades.Add(1)
 	simhook.Note(simhook.CxUpgradeGrant, l, 0)
-	restamped := l.class.On() && l.acquiredAt == 0
-	if restamped {
-		l.acquiredAt = trace.Now()
-	}
-	at := l.acquiredAt
+	// As in ReadToWrite, the occupancy stamp carries over and is never
+	// restarted.
 	l.interlock.Unlock()
-	if restamped {
-		l.publishHold(t, at)
-	}
 	l.class.Upgraded(true)
 	simhook.Yield(simhook.CxAcquired, l)
 	return true

@@ -9,6 +9,16 @@ import (
 	"machlock/internal/trace"
 )
 
+// sampleEvery pins the trace layer's sampling to 1 for the test, so
+// every acquisition is timed and recorded in the ring, and restores the
+// default afterwards. Tests that assert every ring event or every hold
+// sample need it.
+func sampleEvery(t *testing.T) {
+	t.Helper()
+	trace.SetSampling(1)
+	t.Cleanup(func() { trace.SetSampling(trace.DefaultSampleRate) })
+}
+
 // classEvents returns the flight-recorder events of c, in trace-clock
 // order.
 func classEvents(c *trace.Class) []trace.Event {
@@ -45,6 +55,7 @@ func checkOneStamp(t *testing.T, what string, c *trace.Class) {
 }
 
 func TestTracedHoldSharesOneStamp(t *testing.T) {
+	sampleEvery(t)
 	trace.ResetEvents()
 	trace.Enable()
 	defer trace.Disable()
@@ -84,6 +95,7 @@ func (v *virtualClock) NowNs() int64                    { v.ns += 10; return v.n
 func TestRingStaysOnTraceClockUnderHarness(t *testing.T) {
 	simhook.Install(&virtualClock{})
 	defer simhook.Uninstall()
+	sampleEvery(t)
 	trace.ResetEvents()
 	trace.Enable()
 	defer trace.Disable()

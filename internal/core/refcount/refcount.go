@@ -40,7 +40,9 @@ type Count struct {
 	n int32
 
 	// class is the optional observability registration (KindRef); nil
-	// means untraced. Immutable after SetClass.
+	// means untraced. Immutable after SetClass. Call sites gate on the
+	// inlinable class.On(), so an untraced clone or release makes no call
+	// into the trace layer.
 	class *trace.Class
 }
 
@@ -71,7 +73,9 @@ func (c *Count) Clone() {
 	}
 	c.n++
 	simhook.Note(simhook.RefClone, c, int64(c.n))
-	c.class.RefClone(int64(c.n))
+	if c.class.On() {
+		c.class.RefClone(int64(c.n))
+	}
 }
 
 // Release drops one reference, returning true when the count reaches zero
@@ -83,7 +87,9 @@ func (c *Count) Release() bool {
 	}
 	c.n--
 	simhook.Note(simhook.RefRelease, c, int64(c.n))
-	c.class.RefRelease(int64(c.n))
+	if c.class.On() {
+		c.class.RefRelease(int64(c.n))
+	}
 	return c.n == 0
 }
 
@@ -113,7 +119,9 @@ func (a *Atomic) Clone() {
 		panic("refcount: cloning a dead reference (atomic)")
 	}
 	simhook.Note(simhook.RefClone, a, int64(n))
-	a.class.RefClone(int64(n))
+	if a.class.On() {
+		a.class.RefClone(int64(n))
+	}
 }
 
 // Release decrements, returning true at zero.
@@ -124,6 +132,8 @@ func (a *Atomic) Release() bool {
 		panic("refcount: releasing unheld reference (atomic)")
 	}
 	simhook.Note(simhook.RefRelease, a, int64(n))
-	a.class.RefRelease(int64(n))
+	if a.class.On() {
+		a.class.RefRelease(int64(n))
+	}
 	return n == 0
 }

@@ -124,24 +124,17 @@ func (l *Lock) tracedStart() (start int64, blamed *trace.HoldInfo) {
 }
 
 // acquired finishes a queue acquisition: it mirrors the held state into
-// l.state (for Locked and the unlock sanity check), stamps/publishes
-// trace state, and fans out to observers. contended reports whether the
-// acquirer waited; start is tracedStart's stamp (0 if it did not run).
-// One clock reading stamps the hold and its events.
+// l.state (for Locked and the unlock sanity check), records the
+// acquisition with the trace layer, and fans out to observers. contended
+// reports whether the acquirer waited; start is tracedStart's stamp (0 if
+// it did not run).
 func (l *Lock) acquired(contended bool, start int64, blamed *trace.HoldInfo) {
 	atomic.StoreInt32(&l.state, 1)
 	if l.class.On() {
-		now := trace.Now()
-		l.acquiredAt = now
-		l.publishHold(now)
 		if start != 0 {
-			waitNs := now - start
-			l.class.DoneWaitingAt(now, 0, waitNs)
-			l.class.BlameWait(blamed, waitNs)
-			l.class.AcquiredAt(now, 0, true, waitNs)
-			l.class.WaitSampled(1, waitNs)
-		} else {
-			l.class.AcquiredAt(now, 0, false, 0)
+			l.waitedFor(start, blamed)
+		} else if l.class.Acquire() {
+			l.beginHold(0, 0)
 		}
 	}
 	simhook.Note(simhook.SpAcquired, l, 0)
@@ -152,29 +145,15 @@ func (l *Lock) acquired(contended bool, start int64, blamed *trace.HoldInfo) {
 }
 
 // releasing runs the holder's trace bookkeeping before the lock changes
-// hands (by handoff or by becoming free): retire the hold stamp, record
-// the hold time. The l.state mirror is cleared only on a true release,
-// not on a handoff — a handed-off lock is never observably unlocked.
+// hands (by handoff or by becoming free). The l.state mirror is cleared
+// only on a true release, not on a handoff — a handed-off lock is never
+// observably unlocked.
 func (l *Lock) releasing() {
 	if atomic.LoadInt32(&l.state) != 1 {
 		panic("splock: unlock of unlocked simple lock")
 	}
-	if l.class != nil {
-		holdNs := int64(-1)
-		var now int64
-		var h *trace.HoldInfo
-		if at := l.acquiredAt; at != 0 {
-			l.acquiredAt = 0
-			now = trace.Now()
-			holdNs = now - at
-			if l.hold.Load() != nil {
-				h = l.hold.Swap(nil)
-			}
-		}
-		l.class.ReleasedAt(now, 0, holdNs)
-		if holdNs >= 0 {
-			l.class.EndHold(h, holdNs)
-		}
+	if l.class != nil && (l.acquiredAt != 0 || l.class.On()) {
+		l.recordRelease(l.endHold())
 	}
 	obReleased(l)
 }

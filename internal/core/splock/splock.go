@@ -63,14 +63,14 @@ type Lock struct {
 	// class is the observability registration; nil means untraced.
 	// Immutable after SetClass, which must precede concurrent use.
 	class *trace.Class
-	// acquiredAt is the trace-clock stamp (trace.Now) of the current traced
-	// acquisition, the same reading its acquire event carries;
-	// protected by the lock itself (written after acquire, consumed at
-	// release).
+	// acquiredAt is the trace-clock stamp (trace.Now) of the current
+	// sampled acquisition, the same reading its acquire event carries; 0
+	// for an unsampled or untraced hold. Protected by the lock itself
+	// (written after acquire, consumed at release).
 	acquiredAt int64
 	// hold is the sampled holder identity waiters blame their spin time
-	// on; published (1-in-N) after a traced acquisition, cleared at
-	// release. See trace.HoldInfo.
+	// on; published with the stamp, cleared at release. See
+	// trace.HoldInfo.
 	hold atomic.Pointer[trace.HoldInfo]
 
 	// algo is the MCS queue state of a Queue lock; nil — the zero value
@@ -137,14 +137,15 @@ func (l *Lock) Lock() {
 	}
 }
 
-// lockTraced is the acquisition path with tracing on: it times contended
-// waits and stamps the acquisition for the hold-time sample at unlock.
+// lockTraced is the acquisition path with tracing on. Every acquisition
+// is counted; only the 1-in-N the class samples is stamped and recorded,
+// so an unsampled uncontended one reads no clock. A contended wait is
+// always timed, recorded and blamed.
 func (l *Lock) lockTraced() {
 	if atomic.CompareAndSwapInt32(&l.state, 0, 1) {
-		now := trace.Now()
-		l.acquiredAt = now
-		l.publishHold(now)
-		l.class.AcquiredAt(now, 0, false, 0)
+		if l.class.Acquire() {
+			l.beginHold(0, 0)
+		}
 		simhook.Note(simhook.SpAcquired, l, 0)
 		obAcquired(l, false)
 		return
@@ -158,14 +159,7 @@ func (l *Lock) lockTraced() {
 	for {
 		if atomic.LoadInt32(&l.state) == 0 &&
 			atomic.CompareAndSwapInt32(&l.state, 0, 1) {
-			now := trace.Now()
-			waitNs := now - start
-			l.acquiredAt = now
-			l.publishHold(now)
-			l.class.DoneWaitingAt(now, 0, waitNs)
-			l.class.BlameWait(blamed, waitNs)
-			l.class.AcquiredAt(now, 0, true, waitNs)
-			l.class.WaitSampled(1, waitNs)
+			l.waitedFor(start, blamed)
 			simhook.Note(simhook.SpAcquired, l, 0)
 			obDoneWaiting(l)
 			obAcquired(l, true)
@@ -179,16 +173,59 @@ func (l *Lock) lockTraced() {
 	}
 }
 
-// publishHold samples this acquisition for holder blame (1-in-N captures
-// the acquiring stack); called by the new holder right after the
-// test-and-set, so the store is ordered before any waiter's blame load
-// could matter. Spin locks have no thread identity, so the published tid
-// is 0. now is the acquisition's hold stamp.
-func (l *Lock) publishHold(now int64) {
-	if h := l.class.SampleHold(1, 0); h != nil {
-		h.Since = now
-		l.hold.Store(h)
+// waitedFor records a traced acquisition that waited from start: the
+// wait is timed, recorded and blamed on the holder pinned when it began,
+// and the acquisition is counted and, if sampled, stamped with the wait's
+// end reading.
+func (l *Lock) waitedFor(start int64, blamed *trace.HoldInfo) {
+	now := trace.Now()
+	waitNs := now - start
+	l.class.DoneWaitingAt(now, 0, waitNs)
+	l.class.BlameWait(blamed, waitNs)
+	l.class.Waited(2, waitNs)
+	if l.class.Acquire() {
+		l.beginHold(now, waitNs)
 	}
+}
+
+// beginHold stamps a sampled acquisition and publishes it for holder
+// blame; called by the new holder right after the test-and-set, so the
+// store is ordered before any waiter's blame load could matter. now is
+// the grant's clock reading if the caller took one (0: read here): the
+// hold stamp, the acquire event and HoldInfo.Since all carry it. Spin
+// locks have no thread identity, so the recorded tid is 0.
+func (l *Lock) beginHold(now, waitNs int64) {
+	if now == 0 {
+		now = trace.Now()
+	}
+	l.acquiredAt = now
+	l.class.AcquireEvent(now, 0, waitNs)
+	l.hold.Store(l.class.BeginHold(1, now, 0))
+}
+
+// endHold retires the stamp of a sampled hold: it returns the stamp, the
+// release reading and the published holder identity, or a zero stamp for
+// an unsampled hold. Called by the holder before the lock changes hands.
+func (l *Lock) endHold() (at, now int64, h *trace.HoldInfo) {
+	at = l.acquiredAt
+	if at == 0 {
+		return 0, 0, nil
+	}
+	l.acquiredAt = 0
+	return at, trace.Now(), l.hold.Swap(nil)
+}
+
+// recordRelease records a release after the lock has changed hands: a
+// sampled hold (at != 0, from endHold) feeds the hold histogram, the ring
+// and the hold-site profile; an unsampled one is only counted.
+func (l *Lock) recordRelease(at, now int64, h *trace.HoldInfo) {
+	if at == 0 {
+		l.class.Release()
+		return
+	}
+	holdNs := now - at
+	l.class.ReleasedAt(now, 0, holdNs)
+	l.class.EndHold(h, holdNs)
 }
 
 // Unlock releases the lock (simple_unlock). Unlocking an unlocked lock
@@ -215,30 +252,14 @@ func (l *Lock) Unlock() {
 	obReleased(l)
 }
 
-// unlockTraced is Unlock for a stamped hold or an enabled class. A
-// published hold implies a traced acquisition, which always stamps, so
-// the hold retire nests under the stamp check. Load-then-swap: an
-// unsampled hold pays one plain load, not an atomic RMW. Not racy: only
-// the current holder publishes, and we are the holder.
+// unlockTraced is Unlock for a stamped hold or an enabled class. Only a
+// stamped (sampled) hold reads the clock; an unsampled one is counted.
 func (l *Lock) unlockTraced() {
-	holdNs := int64(-1)
-	var now int64
-	var h *trace.HoldInfo
-	if at := l.acquiredAt; at != 0 {
-		l.acquiredAt = 0
-		now = trace.Now()
-		holdNs = now - at
-		if l.hold.Load() != nil {
-			h = l.hold.Swap(nil)
-		}
-	}
+	at, now, h := l.endHold()
 	if atomic.SwapInt32(&l.state, 0) != 1 {
 		panic("splock: unlock of unlocked simple lock")
 	}
-	l.class.ReleasedAt(now, 0, holdNs)
-	if holdNs >= 0 {
-		l.class.EndHold(h, holdNs)
-	}
+	l.recordRelease(at, now, h)
 	simhook.Note(simhook.SpReleased, l, 0)
 	obReleased(l)
 }
@@ -259,11 +280,8 @@ func (l *Lock) TryLock() bool {
 		return false
 	}
 	simhook.Note(simhook.SpAcquired, l, 0)
-	if l.class.On() {
-		now := trace.Now()
-		l.acquiredAt = now
-		l.publishHold(now)
-		l.class.AcquiredAt(now, 0, false, 0)
+	if l.class.On() && l.class.Acquire() {
+		l.beginHold(0, 0)
 	}
 	obAcquired(l, false)
 	return true

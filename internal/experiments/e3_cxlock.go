@@ -90,16 +90,28 @@ func runE3(cfg Config) *Result {
 	// waiting writer — the exact behaviour writer priority forbids.
 	var writerWaiting atomic.Bool
 	var admittedPast atomic.Int64
+	// flooding counts the readers that have been admitted at least once.
+	// The writer starts only when all of them are in their loops; started
+	// earlier, it can finish every write before the scheduler runs a
+	// single reader, and the run measures no flood at all.
+	var flooding atomic.Int64
+	awaitFlood := func() {
+		for flooding.Load() < int64(readers) {
+			runtime.Gosched()
+		}
+	}
 
 	// Mach complex lock (writer priority).
 	{
 		l := cxlock.NewWith(cxlock.Options{Sleep: true})
 		writerWaiting.Store(false)
 		admittedPast.Store(0)
+		flooding.Store(0)
 		stop := make(chan struct{})
 		var rds []*sched.Thread
 		for i := 0; i < readers; i++ {
 			rds = append(rds, sched.Go("r", func(self *sched.Thread) {
+				first := true
 				for {
 					select {
 					case <-stop:
@@ -107,6 +119,10 @@ func runE3(cfg Config) *Result {
 					default:
 					}
 					l.Read(self)
+					if first {
+						flooding.Add(1)
+						first = false
+					}
 					if writerWaiting.Load() {
 						admittedPast.Add(1)
 					}
@@ -117,6 +133,7 @@ func runE3(cfg Config) *Result {
 		}
 		var max time.Duration
 		w := sched.Go("w", func(self *sched.Thread) {
+			awaitFlood()
 			for i := 0; i < writes; i++ {
 				writerWaiting.Store(true)
 				start := time.Now()
@@ -143,12 +160,14 @@ func runE3(cfg Config) *Result {
 		l := &readerPrefLock{}
 		writerWaiting.Store(false)
 		admittedPast.Store(0)
+		flooding.Store(0)
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		for i := 0; i < readers; i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				first := true
 				for {
 					select {
 					case <-stop:
@@ -156,6 +175,10 @@ func runE3(cfg Config) *Result {
 					default:
 					}
 					if l.rlock() {
+						if first {
+							flooding.Add(1)
+							first = false
+						}
 						if writerWaiting.Load() {
 							admittedPast.Add(1)
 						}
@@ -165,6 +188,7 @@ func runE3(cfg Config) *Result {
 				}
 			}()
 		}
+		awaitFlood()
 		completed := 0
 		var max time.Duration
 		deadline := time.Now().Add(window)

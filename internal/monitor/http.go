@@ -122,16 +122,16 @@ func (m *Monitor) writeOwnMetrics(w io.Writer) {
 	fmt.Fprintf(w, "machlock_monitor_incidents_dropped_total %d\n", m.log.Dropped())
 	fmt.Fprintln(w, "# HELP machlock_monitor_splock_acquisitions_total Simple-lock acquisitions observed (monitor running).")
 	fmt.Fprintln(w, "# TYPE machlock_monitor_splock_acquisitions_total counter")
-	fmt.Fprintf(w, "machlock_monitor_splock_acquisitions_total %d\n", m.spc.acquired.Load())
+	fmt.Fprintf(w, "machlock_monitor_splock_acquisitions_total %d\n", m.spc.n.Load(spAcquired))
 	fmt.Fprintln(w, "# HELP machlock_monitor_splock_contended_total Observed simple-lock acquisitions that spun.")
 	fmt.Fprintln(w, "# TYPE machlock_monitor_splock_contended_total counter")
-	fmt.Fprintf(w, "machlock_monitor_splock_contended_total %d\n", m.spc.contended.Load())
+	fmt.Fprintf(w, "machlock_monitor_splock_contended_total %d\n", m.spc.n.Load(spContended))
 	fmt.Fprintln(w, "# HELP machlock_monitor_splock_releases_total Simple-lock releases observed.")
 	fmt.Fprintln(w, "# TYPE machlock_monitor_splock_releases_total counter")
-	fmt.Fprintf(w, "machlock_monitor_splock_releases_total %d\n", m.spc.released.Load())
+	fmt.Fprintf(w, "machlock_monitor_splock_releases_total %d\n", m.spc.n.Load(spReleased))
 	fmt.Fprintln(w, "# HELP machlock_monitor_splock_spinners Threads currently spinning on a simple lock.")
 	fmt.Fprintln(w, "# TYPE machlock_monitor_splock_spinners gauge")
-	fmt.Fprintf(w, "machlock_monitor_splock_spinners %d\n", m.spc.spinning.Load())
+	fmt.Fprintf(w, "machlock_monitor_splock_spinners %d\n", m.spc.n.Load(spSpinning))
 	if started := m.startedAt.Load(); started != 0 {
 		fmt.Fprintln(w, "# HELP machlock_monitor_uptime_seconds Seconds since the watchdog started.")
 		fmt.Fprintln(w, "# TYPE machlock_monitor_uptime_seconds gauge")

@@ -105,26 +105,34 @@ type Monitor struct {
 // spCensus is the monitor's simple-lock observer: an aggregate census of
 // spin-lock traffic (PR 3 noted spin locks were invisible to the monitor;
 // the splock observer fan-out closes that). Counts are monitor-lifetime —
-// collection starts at Start and pauses at Stop.
+// collection starts at Start and pauses at Stop. The observer runs on
+// every spin acquisition and release, traced or not, so the counts live
+// in the trace layer's goroutine-sharded Counts (lanes below) rather than
+// in process-wide atomics every locker would share.
 type spCensus struct {
-	acquired  atomic.Int64
-	contended atomic.Int64
-	released  atomic.Int64
-	spinning  atomic.Int64 // threads currently in a contended spin
+	n trace.Counts
 }
 
+// The census lanes.
+const (
+	spAcquired  = iota
+	spContended // subset of spAcquired
+	spReleased
+	spSpinning // threads currently in a contended spin
+)
+
 func (c *spCensus) Acquired(l *splock.Lock, contended bool) {
-	c.acquired.Add(1)
+	c.n.Add(spAcquired, 1)
 	if contended {
-		c.contended.Add(1)
+		c.n.Add(spContended, 1)
 	}
 }
 
-func (c *spCensus) Released(l *splock.Lock) { c.released.Add(1) }
+func (c *spCensus) Released(l *splock.Lock) { c.n.Add(spReleased, 1) }
 
-func (c *spCensus) Waiting(l *splock.Lock) { c.spinning.Add(1) }
+func (c *spCensus) Waiting(l *splock.Lock) { c.n.Add(spSpinning, 1) }
 
-func (c *spCensus) DoneWaiting(l *splock.Lock) { c.spinning.Add(-1) }
+func (c *spCensus) DoneWaiting(l *splock.Lock) { c.n.Add(spSpinning, -1) }
 
 func kindIndex(k IncidentKind) int {
 	switch k {

@@ -68,3 +68,55 @@ func TestEnabledClassReadsClockOnce(t *testing.T) {
 		t.Fatalf("AcquiredAt with a caller stamp read the clock %d times, want 1 (the caller's)", n)
 	}
 }
+
+// TestUnsampledEventsReadNoClock: on an enabled class at the default
+// rate, counting is all an acquisition, a release or an unsampled
+// reference operation does — no clock read. Acquire and Release never
+// read it (a sampled lock reads it itself); a sampled reference event
+// reads it once, and so does a release to zero, which is always recorded.
+func TestUnsampledEventsReadNoClock(t *testing.T) {
+	Enable()
+	defer Disable()
+	withSampling(t, DefaultSampleRate)
+	c := testClass(t, KindObject)
+	runs := 4 * DefaultSampleRate
+	for i := 0; i < runs; i++ {
+		noClockReadsOn(t, "Acquire/Release", func() {
+			c.Acquire()
+			c.Release()
+		})
+	}
+	for _, ref := range []func(){func() { c.RefClone(2) }, func() { c.RefRelease(1) }} {
+		unsampled := 0
+		for i := 0; i < runs; i++ {
+			before := ClockReads()
+			ref()
+			switch n := ClockReads() - before; {
+			case i == 0 && n != 1:
+				t.Fatalf("the sampled first ref event read the clock %d times, want 1", n)
+			case n == 0:
+				unsampled++
+			case n != 1:
+				t.Fatalf("ref event %d read the clock %d times, want 0 or 1", i, n)
+			}
+		}
+		if unsampled < runs/2 {
+			t.Fatalf("only %d of %d ref events were unsampled", unsampled, runs)
+		}
+	}
+	before := ClockReads()
+	c.RefRelease(0)
+	if n := ClockReads() - before; n != 1 {
+		t.Fatalf("release to zero read the trace clock %d times, want 1", n)
+	}
+}
+
+// noClockReadsOn fails t if f reads the trace clock with tracing on.
+func noClockReadsOn(t *testing.T, what string, f func()) {
+	t.Helper()
+	before := ClockReads()
+	f()
+	if n := ClockReads() - before; n != 0 {
+		t.Fatalf("%s read the trace clock %d times", what, n)
+	}
+}

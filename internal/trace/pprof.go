@@ -312,12 +312,12 @@ func WritePprof(w io.Writer, kind SiteKind) error {
 		p.stringField(6, s)
 	}
 	p.int64Field(9, time.Now().UnixNano()) // time_nanos
-	// period_type + period: samples per SetStackSampling event.
+	// period_type + period: one sample per SetSampling events.
 	var pt protoBuf
 	pt.int64Field(1, b.str(countName))
 	pt.int64Field(2, b.str("count"))
 	p.bytesField(11, pt.data)
-	p.int64Field(12, int64(StackSampling()))
+	p.int64Field(12, int64(Sampling()))
 	p.int64Field(14, b.str(nsName)) // default_sample_type
 
 	gz := gzip.NewWriter(w)

@@ -16,14 +16,11 @@ func TestPprofRoundTrip(t *testing.T) {
 	withSampling(t, 1)
 	c := testClass(t, KindComplex)
 
-	h := c.SampleHold(0, 3)
-	if h == nil {
-		t.Fatal("SampleHold returned nil at rate 1")
-	}
+	h := c.BeginHold(0, Now(), 3)
 	c.EndHold(h, 2000)
 	c.BlameWait(h, 900)
 	c.BlameWait(nil, 111)
-	c.WaitSampled(0, 700)
+	c.Waited(0, 700)
 
 	for _, tc := range []struct {
 		kind      SiteKind

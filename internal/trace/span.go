@@ -140,12 +140,12 @@ func (s *Span) End() {
 		work = 0
 	}
 	c := s.op
-	c.acquisitions.Inc()
+	c.counts.Add(laneAcquire, 1)
 	c.hold.Observe(total)
 	c.wait.Observe(s.waitNs)
 	c.work.Observe(work)
 	if s.waitNs > 0 {
-		c.contended.Inc()
+		c.counts.Add(laneContended, 1)
 	}
 	if s.owner != nil {
 		if s.parent != nil {
@@ -261,8 +261,8 @@ func OpProfiles() []OpProfile {
 		out = append(out, OpProfile{
 			Name:      c.name,
 			Pkg:       c.pkg,
-			Count:     c.acquisitions.Load(),
-			Contended: c.contended.Load(),
+			Count:     c.counts.Load(laneAcquire),
+			Contended: c.counts.Load(laneContended),
 			MeanNs:    int64(c.hold.Mean()),
 			P50Ns:     c.hold.Quantile(0.50),
 			P90Ns:     c.hold.Quantile(0.90),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // This file is the stack side of the attribution layer: sampled call-stack
@@ -15,8 +14,10 @@ import (
 // of the contention profiles cannot answer.
 //
 // Cost model: capture happens only while tracing is enabled, and only for
-// 1-in-StackSampleRate sampled acquisitions (waits, which are already off
-// the fast path, sample at the same rate on the waiter side). A capture is
+// the 1-in-N sampled acquisitions (sample.go) — the same decision that
+// times the hold, so one sample yields the hold's duration, its ring
+// events and its holder stack together. Waits, which are already off the
+// fast path, capture the waiter's stack at the same rate. A capture is
 // one runtime.Callers walk plus one hash-map probe; symbolization is
 // deferred to export time.
 
@@ -172,7 +173,7 @@ func internStack(pcs []uintptr) *Stack {
 // CaptureStack captures and interns the calling stack, skipping skip frames
 // beyond CaptureStack itself. It ignores the sampling rate — use it for
 // deterministic capture in tests and tools; instrumented hot paths go
-// through Class.SampleHold / Class.WaitSampled instead.
+// through Class.BeginHold / Class.Waited instead.
 func CaptureStack(skip int) *Stack {
 	var pcs [maxStackDepth]uintptr
 	n := runtime.Callers(skip+2, pcs[:])
@@ -180,41 +181,6 @@ func CaptureStack(skip int) *Stack {
 		return nil
 	}
 	return internStack(pcs[:n])
-}
-
-// stackRate is the sampling divisor: 1-in-rate sampled acquisitions capture
-// a stack. 0 disables stack capture entirely (profiles stay empty); 1
-// captures every acquisition (tests, short diagnostic sessions).
-var stackRate atomic.Uint32
-
-// DefaultStackSampleRate is the rate installed at init: cheap enough to
-// leave on whenever tracing is on, dense enough that a contended class
-// accumulates attributable samples within seconds.
-const DefaultStackSampleRate = 16
-
-func init() { stackRate.Store(DefaultStackSampleRate) }
-
-// SetStackSampling sets the stack sampling divisor (see stackRate). Takes
-// effect immediately; n <= 0 disables capture.
-func SetStackSampling(n int) {
-	if n < 0 {
-		n = 0
-	}
-	stackRate.Store(uint32(n))
-}
-
-// StackSampling returns the current divisor (0 = disabled).
-func StackSampling() int { return int(stackRate.Load()) }
-
-// sampleFires rolls the per-class sampling counter; deterministic (the 1st,
-// rate+1-th, ... events of each class fire), so tests with rate 1 capture
-// everything.
-func (c *Class) sampleFires() bool {
-	rate := stackRate.Load()
-	if rate == 0 {
-		return false
-	}
-	return c.sampleCtr.Add(1)%uint64(rate) == 1 || rate == 1
 }
 
 // HoldInfo is what a sampled holder publishes for waiters to blame: the
@@ -227,20 +193,15 @@ type HoldInfo struct {
 	Since int64 // trace-clock (Now) reading of the acquisition: the holder's hold stamp
 }
 
-// SampleHold decides whether this acquisition is sampled and, if so,
-// captures the holder's stack: returns nil for unsampled acquisitions (the
-// common case). skip counts frames above SampleHold's caller to drop.
-// Call outside the lock's interlock — capture walks the stack.
-func (c *Class) SampleHold(skip int, tid uint32) *HoldInfo {
-	if !c.On() || !c.sampleFires() {
-		return nil
-	}
+// BeginHold captures the holder's stack for a sampled acquisition
+// (Acquire returned true) and returns the HoldInfo the lock publishes for
+// its waiters to blame and hands to EndHold at release. now is the hold
+// stamp; skip counts frames above BeginHold's caller to drop. Call outside
+// the lock's interlock — capture walks the stack.
+func (c *Class) BeginHold(skip int, now int64, tid uint32) *HoldInfo {
 	var pcs [maxStackDepth]uintptr
 	n := runtime.Callers(skip+2, pcs[:])
-	if n == 0 {
-		return nil
-	}
-	return &HoldInfo{Stack: internStack(pcs[:n]), TID: tid, Since: 0}
+	return &HoldInfo{Stack: internStack(pcs[:n]), TID: tid, Since: now}
 }
 
 // EndHold accumulates a sampled hold into the class's hold-site profile.
@@ -266,22 +227,6 @@ func (c *Class) BlameWait(h *HoldInfo, waitNs int64) {
 		s = h.Stack
 	}
 	c.blameSites.add(s, waitNs)
-}
-
-// WaitSampled accumulates a contended acquisition into the class's
-// wait-site profile, capturing the waiter's own stack at the sampling
-// rate. Call it from the slow path only (the caller has already waited
-// waitNs > 0 ns, so the capture cost is noise).
-func (c *Class) WaitSampled(skip int, waitNs int64) {
-	if !c.On() || !c.sampleFires() {
-		return
-	}
-	var pcs [maxStackDepth]uintptr
-	n := runtime.Callers(skip+2, pcs[:])
-	if n == 0 {
-		return
-	}
-	c.waitSites.add(internStack(pcs[:n]), waitNs)
 }
 
 // siteProfile is one stack-keyed accumulator: counts and nanoseconds per

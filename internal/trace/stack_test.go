@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// withSampling runs the test at a fixed stack-sampling divisor, restoring
-// the default afterwards.
+// withSampling runs the test at a fixed sampling divisor, restoring the
+// default afterwards.
 func withSampling(t *testing.T, rate int) {
 	t.Helper()
-	SetStackSampling(rate)
-	t.Cleanup(func() { SetStackSampling(DefaultStackSampleRate) })
+	SetSampling(rate)
+	t.Cleanup(func() { SetSampling(DefaultSampleRate) })
 }
 
 func TestStackInterning(t *testing.T) {
@@ -52,29 +52,36 @@ func TestSamplingRateGatesCapture(t *testing.T) {
 	Enable()
 	defer Disable()
 	c := testClass(t, KindSpin)
+	c.reset() // the registry survives in-process reruns
 
-	// Rate 0 disables capture entirely.
+	// Rate 0 samples nothing, but counts stay exact and waits stay timed.
 	withSampling(t, 0)
-	if h := c.SampleHold(0, 1); h != nil {
-		t.Fatal("SampleHold fired with sampling disabled")
+	for i := 0; i < 3; i++ {
+		if c.Acquire() {
+			t.Fatalf("acquisition %d sampled with sampling disabled", i)
+		}
 	}
-	c.WaitSampled(0, 100)
+	c.Waited(0, 100)
 	if got := c.Sites(SiteWaits); len(got) != 0 {
-		t.Fatalf("WaitSampled recorded %d sites with sampling disabled", len(got))
+		t.Fatalf("Waited recorded %d sites with sampling disabled", len(got))
+	}
+	if p := c.Snapshot(); p.Acquisitions != 3 || p.Contended != 1 || p.MaxWaitNs != 100 {
+		t.Fatalf("rate 0 lost counts or the wait: %+v", p)
 	}
 
 	// Rate 1 fires on every event.
-	SetStackSampling(1)
+	SetSampling(1)
 	for i := 0; i < 3; i++ {
-		if c.SampleHold(0, 1) == nil {
-			t.Fatalf("SampleHold missed event %d at rate 1", i)
+		if !c.Acquire() {
+			t.Fatalf("acquisition %d not sampled at rate 1", i)
 		}
 	}
 
 	// Tracing off wins over any rate.
 	Disable()
-	if h := c.SampleHold(0, 1); h != nil {
-		t.Fatal("SampleHold fired with tracing disabled")
+	c.Waited(0, 100)
+	if got := c.Sites(SiteWaits); len(got) != 0 {
+		t.Fatalf("Waited recorded %d sites with tracing disabled", len(got))
 	}
 	Enable()
 }
@@ -85,17 +92,14 @@ func TestHoldWaitBlameProfiles(t *testing.T) {
 	withSampling(t, 1)
 	c := testClass(t, KindComplex)
 
-	h := c.SampleHold(0, 7)
-	if h == nil {
-		t.Fatal("SampleHold returned nil at rate 1")
-	}
+	h := c.BeginHold(0, Now(), 7)
 	if h.TID != 7 {
 		t.Fatalf("HoldInfo.TID = %d, want 7", h.TID)
 	}
 	c.EndHold(h, 1000)
 	c.BlameWait(h, 400)   // attributed to the holder's stack
 	c.BlameWait(nil, 250) // unsampled holder: unattributed bucket
-	c.WaitSampled(0, 300)
+	c.Waited(0, 300)
 
 	holds := c.Sites(SiteHolds)
 	if len(holds) != 1 || holds[0].Count != 1 || holds[0].Ns != 1000 {
@@ -129,7 +133,7 @@ func TestHoldWaitBlameProfiles(t *testing.T) {
 	var nilClass *Class
 	nilClass.EndHold(h, 1)
 	nilClass.BlameWait(h, 1)
-	nilClass.WaitSampled(0, 1)
+	nilClass.Waited(0, 1)
 	if nilClass.Sites(SiteHolds) != nil {
 		t.Fatal("nil class has sites")
 	}

@@ -105,6 +105,7 @@ func TestTimelineSlices(t *testing.T) {
 // TestTimelineInstants: events without a duration (acquire markers,
 // ref-count traffic) must come through as instants, not slices.
 func TestTimelineInstants(t *testing.T) {
+	withSampling(t, 1)
 	ResetEvents()
 	Enable()
 	defer Disable()

@@ -28,10 +28,19 @@
 // default) every hook is a single atomic load and a predicted branch,
 // mirroring the cxlock observer pattern. Instrumented call sites must
 // therefore consult Class.On before doing any timing work of their own.
+//
+// With tracing on, the layer counts what is fast and times what is slow
+// (sample.go). Every acquisition, release and reference operation is
+// counted exactly, in per-goroutine-sharded counters. Only a 1-in-N
+// sample of acquisitions (SetSampling, default 16) reads the clock,
+// records ring events, feeds the hold histogram and captures the
+// holder's stack; the rest cost a counter increment and a branch.
+// Contended waits are always timed, recorded and blamed.
 package trace
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -87,35 +96,36 @@ func Enabled() bool { return enabled.Load() }
 // observability layer. Create with NewClass (usually in a package var);
 // instances are shared freely between lock instances of the same type.
 //
-// All recording methods are nil-receiver safe and no-ops while tracing is
+// The recording methods are nil-receiver safe and no-ops while tracing is
 // disabled, so instrumented code can hold an optional *Class and call
-// unconditionally after checking On for its own timing work.
+// unconditionally after checking On for its own timing work. The
+// sampled-lock funnel (Acquire, AcquireEvent, BeginHold, Release) is the
+// exception: it sits on the lock fast path, so it skips that check, and
+// callers reach it only after On has said yes.
 type Class struct {
 	id   uint32
 	name string
 	pkg  string
 	kind Kind
 
-	acquisitions   stats.Counter
-	contended      stats.Counter
-	releases       stats.Counter
+	// counts holds the per-event counters (lanes laneAcquire ..
+	// laneRefRelease), sharded so concurrent lockers of one class do not
+	// share a line. The acquisition and contended lanes are also the
+	// samplers: a shard's count picks the 1-in-N sample (sample.go).
+	counts Counts
+
 	upgrades       stats.Counter
 	failedUpgrades stats.Counter
 	downgrades     stats.Counter
-	refClones      stats.Counter
-	refReleases    stats.Counter
 	deactivates    stats.Counter
 	biasRevokes    stats.Counter
-	hold           stats.Histogram
-	wait           stats.Histogram
+	// hold holds the sampled holds; wait holds every contended wait.
+	hold stats.Histogram
+	wait stats.Histogram
 	// work is used only by KindOp classes: the span's latency net of lock
 	// waiting (hold = total latency, wait = lock wait, work = difference,
 	// sampled per completed span so its quantiles are real, not derived).
 	work stats.Histogram
-
-	// sampleCtr drives the deterministic 1-in-StackSampling stack capture
-	// of the attribution layer (stack.go).
-	sampleCtr atomic.Uint64
 
 	// The three stack-keyed site profiles (stack.go): contended waits by
 	// waiter stack, holds by holder stack, and waiter delay blamed on the
@@ -202,9 +212,68 @@ func (c *Class) Kind() Kind { return c.kind }
 // clock reads on the disabled fast path.
 func (c *Class) On() bool { return c != nil && enabled.Load() }
 
-// Acquired records one successful acquisition. contended marks an
-// acquisition that did not succeed on the first attempt; waitNs (>= 0) is
-// how long it waited.
+// Acquire counts one acquisition of an instrumented lock, runs the
+// lock-graph hook, and reports whether the sampler picked it. A sampled
+// acquisition is the lock's to time: it stamps the hold with one clock
+// reading and records it with AcquireEvent and BeginHold, and its
+// release goes through ReleasedAt. An unsampled one is finished: no
+// clock, no event, no histogram, and its release is Release. Call only
+// after On has said yes.
+func (c *Class) Acquire() bool {
+	n := c.counts.Add(laneAcquire, 1)
+	if graphEnabled.Load() {
+		lockGraphAcquire(c)
+	}
+	return sampled(n)
+}
+
+// AcquireEvent records a sampled acquisition's ring event, stamped now
+// (the lock's hold stamp; 0: read here) with the wait it took (0 if
+// none).
+func (c *Class) AcquireEvent(now int64, tid uint32, waitNs int64) {
+	emit(c.id, OpAcquire, waitNs, tid, now)
+}
+
+// Release counts the release of an unsampled hold and runs the
+// lock-graph hook. Call only after On has said yes; a sampled hold's
+// release is ReleasedAt.
+func (c *Class) Release() {
+	c.counts.Add(laneRelease, 1)
+	if graphEnabled.Load() {
+		lockGraphRelease(c)
+	}
+}
+
+// Waited records the wait of a contended acquisition, sampled or not:
+// the contended count, the wait histogram and, for 1-in-N contended
+// acquisitions, the waiter's own stack in the wait-site profile. Call it
+// from the slow path only (the caller has already waited, so the capture
+// cost is noise); skip counts frames above Waited's caller to drop.
+func (c *Class) Waited(skip int, waitNs int64) {
+	if !c.On() {
+		return
+	}
+	if c.contend(waitNs) && waitNs > 0 {
+		var pcs [maxStackDepth]uintptr
+		if n := runtime.Callers(skip+2, pcs[:]); n > 0 {
+			c.waitSites.add(internStack(pcs[:n]), waitNs)
+		}
+	}
+}
+
+// contend counts one contended acquisition and observes its wait; it
+// reports whether the contended lane's sampler fired.
+func (c *Class) contend(waitNs int64) bool {
+	n := c.counts.Add(laneContended, 1)
+	c.wait.Observe(waitNs)
+	return sampled(n)
+}
+
+// Acquired records one successful acquisition, timed and recorded
+// whatever the sampling rate: the form for lock variants that keep
+// statistics on every hold (splock.Checked, splock.StatLock) and for
+// tests. contended marks an acquisition that did not succeed on the
+// first attempt; waitNs (>= 0) is how long it waited.
 func (c *Class) Acquired(contended bool, waitNs int64) {
 	c.AcquiredAt(0, 0, contended, waitNs)
 }
@@ -226,15 +295,11 @@ func (c *Class) AcquiredAt(now int64, tid uint32, contended bool, waitNs int64) 
 	if !c.On() {
 		return
 	}
-	c.acquisitions.Inc()
+	c.Acquire()
 	if contended {
-		c.contended.Inc()
-		c.wait.Observe(waitNs)
+		c.contend(waitNs)
 	}
-	if graphEnabled.Load() {
-		lockGraphAcquire(c)
-	}
-	emit(c.id, OpAcquire, waitNs, tid, now)
+	c.AcquireEvent(now, tid, waitNs)
 }
 
 // Released records one release with the hold time of the critical section
@@ -246,16 +311,15 @@ func (c *Class) ReleasedBy(tid uint32, holdNs int64) { c.ReleasedAt(0, tid, hold
 
 // ReleasedAt is ReleasedBy stamped with now, normally the reading the
 // lock subtracted its acquisition stamp from to get holdNs (0: read here).
+// It is the release of a timed hold: the sampled locks call it for their
+// sampled holds only.
 func (c *Class) ReleasedAt(now int64, tid uint32, holdNs int64) {
 	if !c.On() {
 		return
 	}
-	c.releases.Inc()
+	c.Release()
 	if holdNs >= 0 {
 		c.hold.Observe(holdNs)
-	}
-	if graphEnabled.Load() {
-		lockGraphRelease(c)
 	}
 	emit(c.id, OpRelease, holdNs, tid, now)
 }
@@ -315,22 +379,31 @@ func (c *Class) Downgraded() {
 }
 
 // RefClone records a reference clone; refs is the count after the clone.
+// It is counted exactly; its ring event is sampled like an acquisition.
 func (c *Class) RefClone(refs int64) {
 	if !c.On() {
 		return
 	}
-	c.refClones.Inc()
-	emit(c.id, OpRefClone, refs, 0, 0)
+	c.refEvent(laneRefClone, OpRefClone, refs)
 }
 
 // RefRelease records a reference release; refs is the count after the
-// release (0 means the object is being destroyed).
+// release (0 means the object is being destroyed). It is counted exactly;
+// its ring event is sampled, except that the release to zero is always
+// recorded.
 func (c *Class) RefRelease(refs int64) {
 	if !c.On() {
 		return
 	}
-	c.refReleases.Inc()
-	emit(c.id, OpRefRelease, refs, 0, 0)
+	c.refEvent(laneRefRelease, OpRefRelease, refs)
+}
+
+// refEvent counts one reference operation on lane and records its ring
+// event when the lane's sampler fires or the count reached zero.
+func (c *Class) refEvent(lane int, op Op, refs int64) {
+	if n := c.counts.Add(lane, 1); sampled(n) || refs == 0 {
+		emit(c.id, op, refs, 0, 0)
+	}
 }
 
 // Deactivated records an object deactivation (Section 9 active
@@ -381,7 +454,8 @@ func (c *Class) Live() int64 {
 }
 
 // HoldQuantile returns the q-th quantile of the class's hold-time samples
-// in nanoseconds (within ~3%, like stats.Histogram).
+// in nanoseconds (within ~3%, like stats.Histogram). The samples are the
+// 1-in-N sampled holds; DESIGN §7 states the error that adds.
 func (c *Class) HoldQuantile(q float64) int64 {
 	if c == nil {
 		return 0
@@ -439,9 +513,9 @@ func (c *Class) Snapshot() Profile {
 		Name:            c.name,
 		Pkg:             c.pkg,
 		Kind:            c.kind,
-		Acquisitions:    c.acquisitions.Load(),
-		Contended:       c.contended.Load(),
-		Releases:        c.releases.Load(),
+		Acquisitions:    c.counts.Load(laneAcquire),
+		Contended:       c.counts.Load(laneContended),
+		Releases:        c.counts.Load(laneRelease),
 		MeanHoldNs:      c.hold.Mean(),
 		P50HoldNs:       c.hold.Quantile(0.50),
 		P90HoldNs:       c.hold.Quantile(0.90),
@@ -456,8 +530,8 @@ func (c *Class) Snapshot() Profile {
 		FailedUpgrades:  c.failedUpgrades.Load(),
 		Downgrades:      c.downgrades.Load(),
 		BiasRevocations: c.biasRevokes.Load(),
-		RefClones:       c.refClones.Load(),
-		RefReleases:     c.refReleases.Load(),
+		RefClones:       c.counts.Load(laneRefClone),
+		RefReleases:     c.counts.Load(laneRefRelease),
 		Deactivates:     c.deactivates.Load(),
 		Live:            c.live.Load(),
 	}
@@ -469,14 +543,10 @@ func (c *Class) Snapshot() Profile {
 
 // reset zeroes the class's accounting.
 func (c *Class) reset() {
-	c.acquisitions.Reset()
-	c.contended.Reset()
-	c.releases.Reset()
+	c.counts.Reset()
 	c.upgrades.Reset()
 	c.failedUpgrades.Reset()
 	c.downgrades.Reset()
-	c.refClones.Reset()
-	c.refReleases.Reset()
 	c.deactivates.Reset()
 	c.biasRevokes.Reset()
 	c.hold.Reset()
