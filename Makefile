@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet govet machvet test race sim fuzz-smoke benchmark bench bench-smoke bench-arsenal locktrace lockmon mon-smoke machd machd-smoke lockcover lockcover-check
+.PHONY: all build vet govet machvet inline-check test race sim fuzz-smoke benchmark bench bench-smoke bench-arsenal locktrace lockmon mon-smoke machd machd-smoke lockcover lockcover-check
 
 all: vet build test
 
@@ -19,6 +19,18 @@ govet:
 
 machvet:
 	$(GO) run ./cmd/machvet ./...
+
+# The gates every lock operation passes on its untraced path must stay
+# inlinable: a gate that stops inlining puts a call on every acquisition
+# and release. Fails unless the compiler reports each one inlinable.
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/trace ./internal/machsim/simhook ./internal/core/splock 2>&1) || { echo "$$out"; exit 1; }; \
+	for want in 'internal/trace/trace\.go:[0-9:]+ can inline \(\*Class\)\.On$$' \
+		'internal/trace/trace\.go:[0-9:]+ can inline Enabled$$' \
+		'internal/machsim/simhook/simhook\.go:[0-9:]+ can inline Enabled$$' \
+		'internal/machsim/simhook/simhook\.go:[0-9:]+ can inline Yield$$'; do \
+		echo "$$out" | grep -Eq "$$want" || { echo "inline-check: no match for $$want"; exit 1; }; \
+	done; echo "inline-check: ok"
 
 test:
 	$(GO) test ./...

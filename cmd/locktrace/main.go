@@ -240,10 +240,10 @@ func runZalloc(threads, ops int) {
 	}
 }
 
-// runSpin drives a bare named statistics spin lock, so the report also
-// shows the raw splock layer next to the subsystems built on it.
+// runSpin drives a bare classed spin lock, so the report also shows the
+// raw splock layer next to the subsystems built on it.
 func runSpin(threads, ops int) {
-	l := splock.NewStat("locktrace.spin")
+	l := splock.NewWith(splock.Opts{Class: trace.NewClass("splock", "locktrace.spin", trace.KindSpin)})
 	var ths []*sched.Thread
 	for i := 0; i < threads; i++ {
 		ths = append(ths, sched.Go(fmt.Sprintf("spin-%d", i), func(self *sched.Thread) {

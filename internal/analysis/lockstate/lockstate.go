@@ -135,7 +135,7 @@ func init() {
 	// queue): the algorithm is an option on the one type, so the
 	// type-exact rows below classify both identically. SimLock is the
 	// coherence-simulation twin with the same hold discipline.
-	for _, recv := range []string{"Lock", "Checked", "StatLock", "OrderedLock", "Noop", "Mutex", "SimLock"} {
+	for _, recv := range []string{"Lock", "Checked", "OrderedLock", "Noop", "Mutex", "SimLock"} {
 		reg(pkgSplock, recv, "Lock", opEntry{kind: OpAcquire, class: Simple})
 		reg(pkgSplock, recv, "TryLock", opEntry{kind: OpTryAcquire, class: Simple})
 		reg(pkgSplock, recv, "Unlock", opEntry{kind: OpRelease, class: Simple})
@@ -379,7 +379,7 @@ func namedTypeName(t types.Type) string {
 // the program would collapse into one ordering class.
 func isLockTypeName(name string) bool {
 	switch name {
-	case "splock.Lock", "splock.Checked", "splock.StatLock", "splock.OrderedLock",
+	case "splock.Lock", "splock.Checked", "splock.OrderedLock",
 		"splock.Noop", "splock.Mutex", "cxlock.Lock", "cxlock.ClassLock",
 		"machlock.ComplexLock", "object.Object":
 		return true

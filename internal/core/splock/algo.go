@@ -12,8 +12,9 @@ import (
 
 // This file holds the production lock's construction options and its one
 // alternative acquisition algorithm. The paper's refined TAS/TTAS policy
-// (Appendix A) is the default and keeps its original code path in
-// splock.go — a Lock whose algo field is nil never reaches this file.
+// (Appendix A) is the default and keeps its inline fast path in
+// splock.go; a Lock whose algo field is nil never reaches the queue code
+// here.
 //
 // The alternative is Queue (MCS): under heavy contention every TTAS
 // release triggers a stampede — each spinner's cached copy is invalidated
@@ -27,11 +28,12 @@ import (
 // check those: they live in SimLock (NewSimWith), where E1 and E14
 // measure them. The production constructors refuse them.
 //
-// The queue path plumbs through the same seams as the default path: trace
-// class profiles and HoldInfo blame publication, the splock observer
-// fan-out, and machsim's simhook yield points (plus two queue-specific
-// notes, SpEnqueued and SpHandoff, that let the harness check FIFO
-// handoff).
+// The queue path records through the same acquisition funnel as the
+// default path's contended spin (tracedStart, acquired, endHold and
+// recordRelease in splock.go), so a class counts and samples both
+// algorithms alike, and it passes machsim's simhook yield points (plus
+// two queue-specific notes, SpEnqueued and SpHandoff, that let the
+// harness check FIFO handoff).
 
 // Opts configures production simple-lock construction, mirroring
 // cxlock.Options. The zero value is a default lock: TASTTAS policy,
@@ -110,52 +112,14 @@ func spinYield(l *Lock) {
 	}
 }
 
-// tracedStart captures the wait-timing state the trace layer needs before
-// a contended wait: the trace-clock start (also the wait event's stamp)
-// and the holder pinned for blame. start is 0 when tracing is off.
-func (l *Lock) tracedStart() (start int64, blamed *trace.HoldInfo) {
-	if !l.class.On() {
-		return 0, nil
-	}
-	blamed = l.hold.Load()
-	start = trace.Now()
-	l.class.WaitingAt(start, 0)
-	return start, blamed
-}
-
-// acquired finishes a queue acquisition: it mirrors the held state into
-// l.state (for Locked and the unlock sanity check), records the
-// acquisition with the trace layer, and fans out to observers. contended
-// reports whether the acquirer waited; start is tracedStart's stamp (0 if
-// it did not run).
-func (l *Lock) acquired(contended bool, start int64, blamed *trace.HoldInfo) {
+// grant makes n the holder's node and finishes the acquisition: it
+// mirrors the held state into l.state (for Locked and the unlock sanity
+// check) and runs the shared funnel. start and blamed are tracedStart's
+// (0 and nil if the acquirer did not wait).
+func (a *algoState) grant(l *Lock, n *qnode, start int64, blamed *trace.HoldInfo) {
+	a.cur = n
 	atomic.StoreInt32(&l.state, 1)
-	if l.class.On() {
-		if start != 0 {
-			l.waitedFor(start, blamed)
-		} else if l.class.Acquire() {
-			l.beginHold(0, 0)
-		}
-	}
-	simhook.Note(simhook.SpAcquired, l, 0)
-	if contended {
-		obDoneWaiting(l)
-	}
-	obAcquired(l, contended)
-}
-
-// releasing runs the holder's trace bookkeeping before the lock changes
-// hands (by handoff or by becoming free). The l.state mirror is cleared
-// only on a true release, not on a handoff — a handed-off lock is never
-// observably unlocked.
-func (l *Lock) releasing() {
-	if atomic.LoadInt32(&l.state) != 1 {
-		panic("splock: unlock of unlocked simple lock")
-	}
-	if l.class != nil && (l.acquiredAt != 0 || l.class.On()) {
-		l.recordRelease(l.endHold())
-	}
-	obReleased(l)
+	l.acquired(start, blamed)
 }
 
 // lock is the MCS acquisition: swap self onto the tail, then spin on the
@@ -166,18 +130,15 @@ func (a *algoState) lock(l *Lock) {
 	simhook.Note(simhook.SpEnqueued, l, 0)
 	if prev == nil {
 		// Queue was empty: we are the holder with no predecessor.
-		a.cur = n
-		l.acquired(false, 0, nil)
+		a.grant(l, n, 0, nil)
 		return
 	}
 	start, blamed := l.tracedStart()
-	obWaiting(l)
 	prev.next.Store(n)
 	for !n.granted.Load() {
 		spinYield(l)
 	}
-	a.cur = n
-	l.acquired(true, start, blamed)
+	a.grant(l, n, start, blamed)
 }
 
 // unlock is the MCS release: with no visible successor, swing the tail
@@ -185,10 +146,16 @@ func (a *algoState) lock(l *Lock) {
 // next node (FIFO).
 func (a *algoState) unlock(l *Lock) {
 	n := a.cur
-	if n == nil {
+	if n == nil || atomic.LoadInt32(&l.state) != 1 {
 		panic("splock: unlock of unlocked simple lock")
 	}
-	l.releasing()
+	// The holder's trace bookkeeping runs before the lock changes hands,
+	// by handoff or by becoming free. The l.state mirror is cleared only
+	// on a true release, not on a handoff: a handed-off lock is never
+	// observably unlocked.
+	if l.acquiredAt != 0 || l.class.On() {
+		l.recordRelease(l.endHold())
+	}
 	a.cur = nil
 	if n.next.Load() == nil {
 		// Clear the mirror before the tail CAS: on success the lock is
@@ -221,7 +188,6 @@ func (a *algoState) tryLock(l *Lock) bool {
 		return false
 	}
 	simhook.Note(simhook.SpEnqueued, l, 0)
-	a.cur = n
-	l.acquired(false, 0, nil)
+	a.grant(l, n, 0, nil)
 	return true
 }

@@ -3,7 +3,6 @@ package splock
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"machlock/internal/trace"
 )
@@ -20,26 +19,25 @@ type Holder interface {
 
 // Checked is a debugging simple lock: it behaves like Lock but records its
 // holder, panics on double acquisition by the same holder (self-deadlock),
-// panics on release by a non-holder, and keeps acquisition statistics. It
-// corresponds to the debug/statistics variant the paper says the simple
-// lock structure was designed to admit.
+// and panics on release by a non-holder. It corresponds to the debug
+// variant the paper says the simple lock structure was designed to admit.
+// Its statistics are its class's, like any classed Lock's: the inner lock
+// is registered under the checked lock's name, so trace.Lookup("splock",
+// name).Snapshot() reads them.
 type Checked struct {
-	name  string
-	class *trace.Class
-	l     Lock
+	name string
+	l    Lock
 
-	mu         sync.Mutex
-	holder     Holder
-	acquiredAt int64 // trace.Now stamp; guarded by mu, set only while tracing
-
-	acquisitions atomic.Int64
-	contended    atomic.Int64
+	mu     sync.Mutex
+	holder Holder
 }
 
 // NewChecked creates a named checked lock, registered as a spin class with
 // the observability layer.
 func NewChecked(name string) *Checked {
-	return &Checked{name: name, class: trace.NewClass("splock", name, trace.KindSpin)}
+	c := &Checked{name: name}
+	c.l.InitWith(Opts{Class: trace.NewClass("splock", name, trace.KindSpin), Name: name})
+	return c
 }
 
 // Name returns the lock's name.
@@ -57,32 +55,8 @@ func (c *Checked) Lock(h Holder) {
 			c.name, h.Name()))
 	}
 	c.mu.Unlock()
-	tr := c.class.On()
-	var start, now, waitNs int64
-	contended := false
-	if !c.l.TryLock() { //machlock:holds — wrapper: the hold escapes to Lock's caller
-		c.contended.Add(1)
-		contended = true
-		if tr {
-			start = trace.Now()
-			c.class.WaitingAt(start, 0)
-		}
-		c.l.Lock() //machlock:holds — wrapper: the hold escapes to Lock's caller
-	}
-	if tr {
-		now = trace.Now()
-		if contended {
-			waitNs = now - start
-			c.class.DoneWaitingAt(now, 0, waitNs)
-		}
-	}
-	c.mu.Lock()
-	c.holder = h
-	c.acquiredAt = now
-	c.mu.Unlock()
-	h.NoteSpinAcquire()
-	c.acquisitions.Add(1)
-	c.class.AcquiredAt(now, 0, contended, waitNs)
+	c.l.Lock() //machlock:holds — wrapper: the hold escapes to Lock's caller
+	c.setHolder(h)
 }
 
 // TryLock makes a single attempt for h.
@@ -93,18 +67,16 @@ func (c *Checked) TryLock(h Holder) bool {
 	if !c.l.TryLock() { //machlock:holds — wrapper: the hold escapes to TryLock's caller
 		return false
 	}
-	var now int64
-	if c.class.On() {
-		now = trace.Now()
-	}
+	c.setHolder(h)
+	return true
+}
+
+// setHolder records h as the holder of a just-acquired lock.
+func (c *Checked) setHolder(h Holder) {
 	c.mu.Lock()
 	c.holder = h
-	c.acquiredAt = now
 	c.mu.Unlock()
 	h.NoteSpinAcquire()
-	c.acquisitions.Add(1)
-	c.class.AcquiredAt(now, 0, false, 0)
-	return true
 }
 
 // Unlock releases the lock, panicking if h is not the holder.
@@ -120,17 +92,9 @@ func (c *Checked) Unlock(h Holder) {
 			c.name, h.Name(), cur))
 	}
 	c.holder = nil
-	holdNs := int64(-1)
-	var now int64
-	if at := c.acquiredAt; at != 0 {
-		c.acquiredAt = 0
-		now = trace.Now()
-		holdNs = now - at
-	}
 	c.mu.Unlock()
 	c.l.Unlock()
 	h.NoteSpinRelease()
-	c.class.ReleasedAt(now, 0, holdNs)
 }
 
 // HolderName returns the name of the current holder, or "" if unheld.
@@ -142,10 +106,3 @@ func (c *Checked) HolderName() string {
 	}
 	return c.holder.Name()
 }
-
-// Acquisitions returns the number of successful acquisitions.
-func (c *Checked) Acquisitions() int64 { return c.acquisitions.Load() }
-
-// Contended returns the number of acquisitions that did not succeed on the
-// first attempt.
-func (c *Checked) Contended() int64 { return c.contended.Load() }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"machlock/internal/sched"
+	"machlock/internal/trace"
 )
 
 func TestCheckedBasic(t *testing.T) {
@@ -24,9 +25,6 @@ func TestCheckedBasic(t *testing.T) {
 	}
 	if th.SpinLocksHeld() != 0 {
 		t.Fatal("spin count not decremented")
-	}
-	if l.Acquisitions() != 1 {
-		t.Fatalf("acquisitions = %d, want 1", l.Acquisitions())
 	}
 }
 
@@ -97,8 +95,14 @@ func TestCheckedBlocksWhileHeldPanicsViaSched(t *testing.T) {
 	sched.ThreadBlock(th)
 }
 
+// TestCheckedContentionCounter: a checked lock's statistics are its
+// class's, counted by the inner lock like any classed spin lock's.
 func TestCheckedContentionCounter(t *testing.T) {
-	l := NewChecked("x")
+	trace.Enable()
+	defer trace.Disable()
+	l := NewChecked(t.Name())
+	c := trace.Lookup("splock", t.Name())
+	before := c.Snapshot()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -112,8 +116,12 @@ func TestCheckedContentionCounter(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if l.Acquisitions() != 800 {
-		t.Fatalf("acquisitions = %d, want 800", l.Acquisitions())
+	after := c.Snapshot()
+	if n := after.Acquisitions - before.Acquisitions; n != 800 {
+		t.Fatalf("class acquisitions = %d, want 800", n)
+	}
+	if n := after.Releases - before.Releases; n != 800 {
+		t.Fatalf("class releases = %d, want 800", n)
 	}
 }
 

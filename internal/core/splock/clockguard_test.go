@@ -11,8 +11,7 @@ import (
 
 // TestUntracedPathReadsNoClock: with tracing off, a classed simple lock —
 // both production algorithms, and the checked variant — must not read the
-// trace clock. (StatLock keeps its own always-on statistics and reads the
-// clock by design.)
+// trace clock.
 func TestUntracedPathReadsNoClock(t *testing.T) {
 	trace.Disable()
 	c := trace.NewClass("splocktest", t.Name(), trace.KindSpin)
@@ -41,7 +40,10 @@ func TestUntracedPathReadsNoClock(t *testing.T) {
 // default rate, an unsampled uncontended pair reads no clock and the
 // sampled pair reads exactly two (the hold stamp and the release). A
 // fresh class's first acquisition is always sampled; later ones are
-// sampled 1-in-N per counter shard.
+// sampled 1-in-N per counter shard. Each pair kind gets a fresh class:
+// the shard is picked by a stack address, so once the goroutine's stack
+// has grown a second kind can land on a shard the first left at any
+// count.
 func TestTracedPairReadsClockOnlyWhenSampled(t *testing.T) {
 	trace.Enable()
 	defer trace.Disable()
@@ -50,6 +52,8 @@ func TestTracedPairReadsClockOnlyWhenSampled(t *testing.T) {
 		c := trace.NewClass("splocktest", t.Name()+"-"+p.String(), trace.KindSpin)
 		l := NewWith(Opts{Algorithm: p, Class: c})
 		checkPairReads(t, p.String(), func() { l.Lock(); l.Unlock() })
+		c = trace.NewClass("splocktest", t.Name()+"-"+p.String()+"-try", trace.KindSpin)
+		l = NewWith(Opts{Algorithm: p, Class: c})
 		checkPairReads(t, p.String()+" try", func() {
 			if l.TryLock() {
 				l.Unlock()

@@ -18,10 +18,15 @@
 //     macro precisely so they can be compiled out of uniprocessor kernels;
 //     Noop is that compile-out, usable anywhere a Mutex is.
 //
-// A Checked wrapper adds the debugging discipline the paper alludes to
-// ("a structure to allow the simple addition of debugging and statistics
-// information"): holder tracking, double-acquire/release detection, and
-// integration with sched's you-may-not-block-holding-a-spin-lock rule.
+// The paper's lock structure is there "to allow the simple addition of
+// debugging and statistics information" (Appendix A.1). The statistics
+// are a trace class: a Lock built with Opts{Class: ...} (or SetClass)
+// counts every acquisition, contended acquisition and release exactly,
+// times every contended wait and a 1-in-N sample of holds, all through
+// one acquisition funnel shared by both algorithms, and the class's
+// Snapshot reads them. The debugging is the Checked wrapper: holder
+// tracking, double-acquire/release detection, and integration with
+// sched's you-may-not-block-holding-a-spin-lock rule.
 //
 // Simple locks may not be held across blocking operations or context
 // switches; the paper calls violations of this restriction fatal. The
@@ -108,81 +113,74 @@ func (l *Lock) Lock() {
 		l.algo.lock(l)
 		return
 	}
-	if l.class.On() {
-		l.lockTraced()
-		return
-	}
 	if atomic.CompareAndSwapInt32(&l.state, 0, 1) {
-		simhook.Note(simhook.SpAcquired, l, 0)
-		obAcquired(l, false)
-		return
-	}
-	obWaiting(l)
-	for {
-		if atomic.LoadInt32(&l.state) == 0 &&
-			atomic.CompareAndSwapInt32(&l.state, 0, 1) {
-			simhook.Note(simhook.SpAcquired, l, 0)
-			obDoneWaiting(l)
-			obAcquired(l, true)
-			return
-		}
-		if simhook.Enabled() {
-			// Under machsim a failed spin iteration is a voluntary yield:
-			// the harness switches to another virtual thread (eventually
-			// the holder) instead of burning a host-scheduler pass.
-			simhook.Yield(simhook.SpSpin, l)
-		} else {
-			runtime.Gosched()
-		}
-	}
-}
-
-// lockTraced is the acquisition path with tracing on. Every acquisition
-// is counted; only the 1-in-N the class samples is stamped and recorded,
-// so an unsampled uncontended one reads no clock. A contended wait is
-// always timed, recorded and blamed.
-func (l *Lock) lockTraced() {
-	if atomic.CompareAndSwapInt32(&l.state, 0, 1) {
-		if l.class.Acquire() {
+		if l.class.On() && l.class.Acquire() {
 			l.beginHold(0, 0)
 		}
 		simhook.Note(simhook.SpAcquired, l, 0)
-		obAcquired(l, false)
 		return
 	}
-	start := trace.Now()
-	// Blame is pinned to the holder visible when the spin began; by the
-	// time we win the lock the blame target has (by definition) released.
-	blamed := l.hold.Load()
-	l.class.WaitingAt(start, 0)
-	obWaiting(l)
-	for {
-		if atomic.LoadInt32(&l.state) == 0 &&
-			atomic.CompareAndSwapInt32(&l.state, 0, 1) {
-			l.waitedFor(start, blamed)
-			simhook.Note(simhook.SpAcquired, l, 0)
-			obDoneWaiting(l)
-			obAcquired(l, true)
-			return
-		}
-		if simhook.Enabled() {
-			simhook.Yield(simhook.SpSpin, l)
-		} else {
-			runtime.Gosched()
-		}
-	}
+	l.spin()
 }
 
-// waitedFor records a traced acquisition that waited from start: the
-// wait is timed, recorded and blamed on the holder pinned when it began,
-// and the acquisition is counted and, if sampled, stamped with the wait's
-// end reading.
+// spin is the contended TAS+TTAS acquisition: test until the lock looks
+// free, then test-and-set.
+func (l *Lock) spin() {
+	start, blamed := l.tracedStart()
+	for atomic.LoadInt32(&l.state) != 0 || !atomic.CompareAndSwapInt32(&l.state, 0, 1) {
+		spinYield(l)
+	}
+	l.acquired(start, blamed)
+}
+
+// The acquisition funnel below is shared by both algorithms; start == 0
+// means the acquisition is untraced or did not wait.
+
+// tracedStart captures the wait-timing state the trace layer needs before
+// a contended wait: the trace-clock start (also the wait event's stamp)
+// and the holder pinned for blame, and it enters the class's spinners
+// gauge. start is 0 when tracing is off. Blame is pinned to the holder
+// visible when the spin began; by the time we win the lock the blame
+// target has (by definition) released.
+func (l *Lock) tracedStart() (start int64, blamed *trace.HoldInfo) {
+	if !l.class.On() {
+		return 0, nil
+	}
+	blamed = l.hold.Load()
+	start = trace.Now()
+	l.class.WaitingAt(start, 0)
+	l.class.SpinStart()
+	return start, blamed
+}
+
+// acquired finishes an acquisition that went through the slow path (a
+// contended TAS+TTAS spin, or any queue acquisition): it records it with
+// the trace layer and notes it to machsim. start and blamed are
+// tracedStart's, or 0 and nil for an acquisition that did not wait.
+func (l *Lock) acquired(start int64, blamed *trace.HoldInfo) {
+	if start != 0 {
+		l.waitedFor(start, blamed)
+	} else if l.class.On() && l.class.Acquire() {
+		l.beginHold(0, 0)
+	}
+	simhook.Note(simhook.SpAcquired, l, 0)
+}
+
+// waitedFor records a traced acquisition that waited from start: it
+// leaves the spinners gauge and, unless tracing was turned off meanwhile,
+// the wait is timed, recorded and blamed on the holder pinned when it
+// began, and the acquisition is counted and, if sampled, stamped with the
+// wait's end reading.
 func (l *Lock) waitedFor(start int64, blamed *trace.HoldInfo) {
+	l.class.SpinEnd()
+	if !l.class.On() {
+		return
+	}
 	now := trace.Now()
 	waitNs := now - start
 	l.class.DoneWaitingAt(now, 0, waitNs)
 	l.class.BlameWait(blamed, waitNs)
-	l.class.Waited(2, waitNs)
+	l.class.Waited(3, waitNs)
 	if l.class.Acquire() {
 		l.beginHold(now, waitNs)
 	}
@@ -215,9 +213,11 @@ func (l *Lock) endHold() (at, now int64, h *trace.HoldInfo) {
 	return at, trace.Now(), l.hold.Swap(nil)
 }
 
-// recordRelease records a release after the lock has changed hands: a
-// sampled hold (at != 0, from endHold) feeds the hold histogram, the ring
-// and the hold-site profile; an unsampled one is only counted.
+// recordRelease records a release: a sampled hold (at != 0, from
+// endHold) feeds the hold histogram, the ring and the hold-site profile;
+// an unsampled one is only counted. Callers skip it for an unstamped hold
+// of a class that is off; a stamped hold is retired even if tracing was
+// turned off mid-hold.
 func (l *Lock) recordRelease(at, now int64, h *trace.HoldInfo) {
 	if at == 0 {
 		l.class.Release()
@@ -239,29 +239,18 @@ func (l *Lock) Unlock() {
 		l.algo.unlock(l)
 		return
 	}
-	// A stamped hold takes the traced release even if tracing was turned
-	// off mid-hold, so the stamp is always consumed.
-	if l.class != nil && (l.acquiredAt != 0 || l.class.On()) {
-		l.unlockTraced()
-		return
+	var at, now int64
+	var h *trace.HoldInfo
+	if l.acquiredAt != 0 { // tested here so an unstamped hold makes no call
+		at, now, h = l.endHold()
 	}
 	if atomic.SwapInt32(&l.state, 0) != 1 {
 		panic("splock: unlock of unlocked simple lock")
 	}
-	simhook.Note(simhook.SpReleased, l, 0)
-	obReleased(l)
-}
-
-// unlockTraced is Unlock for a stamped hold or an enabled class. Only a
-// stamped (sampled) hold reads the clock; an unsampled one is counted.
-func (l *Lock) unlockTraced() {
-	at, now, h := l.endHold()
-	if atomic.SwapInt32(&l.state, 0) != 1 {
-		panic("splock: unlock of unlocked simple lock")
+	if at != 0 || l.class.On() {
+		l.recordRelease(at, now, h)
 	}
-	l.recordRelease(at, now, h)
 	simhook.Note(simhook.SpReleased, l, 0)
-	obReleased(l)
 }
 
 // TryLock makes a single attempt to acquire the lock (simple_lock_try),
@@ -283,7 +272,6 @@ func (l *Lock) TryLock() bool {
 	if l.class.On() && l.class.Acquire() {
 		l.beginHold(0, 0)
 	}
-	obAcquired(l, false)
 	return true
 }
 

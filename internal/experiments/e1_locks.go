@@ -9,6 +9,7 @@ import (
 	"machlock/internal/core/splock"
 	"machlock/internal/hw"
 	"machlock/internal/stats"
+	"machlock/internal/trace"
 )
 
 func init() {
@@ -196,13 +197,25 @@ func runE2(cfg Config) *Result {
 	return res
 }
 
+// bankClass is the one class every granularity run's locks share: its
+// profile is the run's lock statistics (Appendix A.1's statistics
+// structure), and the wait share needs only the totals across locks.
+var bankClass = trace.NewClass("experiments", "e2.bank", trace.KindSpin)
+
 // runGranularity returns the elapsed time and the observed wait share: the
-// fraction of total thread-time spent waiting for locks.
+// fraction of total thread-time spent waiting for locks. Tracing is on for
+// the run (and restored after), so the class counts every contended
+// acquisition exactly and times every wait.
 func runGranularity(nlocks, slots, threads, opsPerThread int) (time.Duration, float64) {
-	locks := make([]*splock.StatLock, nlocks)
-	for i := range locks {
-		locks[i] = splock.NewStat(fmt.Sprintf("bank-%d", i))
+	if !trace.Enabled() {
+		trace.Enable()
+		defer trace.Disable()
 	}
+	locks := make([]*splock.Lock, nlocks)
+	for i := range locks {
+		locks[i] = splock.NewWith(splock.Opts{Class: bankClass, Name: fmt.Sprintf("bank-%d", i)})
+	}
+	before := bankClass.Snapshot()
 	counters := make([]struct {
 		v   uint64
 		pad [7]uint64 // avoid false sharing between slots
@@ -226,10 +239,9 @@ func runGranularity(nlocks, slots, threads, opsPerThread int) (time.Duration, fl
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	var waitNs float64
-	for _, l := range locks {
-		r := l.Report()
-		waitNs += r.MeanWaitNs * float64(r.Contended)
-	}
+	// The class outlives the run, so the run's total wait is the
+	// difference of the class's totals (contended count × mean wait).
+	after := bankClass.Snapshot()
+	waitNs := after.MeanWaitNs*float64(after.Contended) - before.MeanWaitNs*float64(before.Contended)
 	return elapsed, stats.Ratio(waitNs, float64(elapsed.Nanoseconds())*float64(threads))
 }

@@ -120,18 +120,19 @@ func (m *Monitor) writeOwnMetrics(w io.Writer) {
 	fmt.Fprintln(w, "# HELP machlock_monitor_incidents_dropped_total Incidents evicted from the bounded log.")
 	fmt.Fprintln(w, "# TYPE machlock_monitor_incidents_dropped_total counter")
 	fmt.Fprintf(w, "machlock_monitor_incidents_dropped_total %d\n", m.log.Dropped())
-	fmt.Fprintln(w, "# HELP machlock_monitor_splock_acquisitions_total Simple-lock acquisitions observed (monitor running).")
+	sp := readSpinCensus()
+	fmt.Fprintln(w, "# HELP machlock_monitor_splock_acquisitions_total Acquisitions of classed simple locks (spin and object classes) while tracing was on.")
 	fmt.Fprintln(w, "# TYPE machlock_monitor_splock_acquisitions_total counter")
-	fmt.Fprintf(w, "machlock_monitor_splock_acquisitions_total %d\n", m.spc.n.Load(spAcquired))
-	fmt.Fprintln(w, "# HELP machlock_monitor_splock_contended_total Observed simple-lock acquisitions that spun.")
+	fmt.Fprintf(w, "machlock_monitor_splock_acquisitions_total %d\n", sp.acquisitions)
+	fmt.Fprintln(w, "# HELP machlock_monitor_splock_contended_total Acquisitions of classed simple locks that spun.")
 	fmt.Fprintln(w, "# TYPE machlock_monitor_splock_contended_total counter")
-	fmt.Fprintf(w, "machlock_monitor_splock_contended_total %d\n", m.spc.n.Load(spContended))
-	fmt.Fprintln(w, "# HELP machlock_monitor_splock_releases_total Simple-lock releases observed.")
+	fmt.Fprintf(w, "machlock_monitor_splock_contended_total %d\n", sp.contended)
+	fmt.Fprintln(w, "# HELP machlock_monitor_splock_releases_total Releases of classed simple locks while tracing was on.")
 	fmt.Fprintln(w, "# TYPE machlock_monitor_splock_releases_total counter")
-	fmt.Fprintf(w, "machlock_monitor_splock_releases_total %d\n", m.spc.n.Load(spReleased))
-	fmt.Fprintln(w, "# HELP machlock_monitor_splock_spinners Threads currently spinning on a simple lock.")
+	fmt.Fprintf(w, "machlock_monitor_splock_releases_total %d\n", sp.releases)
+	fmt.Fprintln(w, "# HELP machlock_monitor_splock_spinners Threads currently in a contended wait on a classed simple lock.")
 	fmt.Fprintln(w, "# TYPE machlock_monitor_splock_spinners gauge")
-	fmt.Fprintf(w, "machlock_monitor_splock_spinners %d\n", m.spc.n.Load(spSpinning))
+	fmt.Fprintf(w, "machlock_monitor_splock_spinners %d\n", sp.spinners)
 	if started := m.startedAt.Load(); started != 0 {
 		fmt.Fprintln(w, "# HELP machlock_monitor_uptime_seconds Seconds since the watchdog started.")
 		fmt.Fprintln(w, "# TYPE machlock_monitor_uptime_seconds gauge")

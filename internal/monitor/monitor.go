@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"machlock/internal/core/splock"
 	"machlock/internal/deadlock"
 	"machlock/internal/trace"
 )
@@ -87,7 +86,6 @@ type Monitor struct {
 	cfg     Config
 	tracker *deadlock.Tracker
 	log     *IncidentLog
-	spc     spCensus
 
 	ticks     atomic.Int64
 	byKind    [4]atomic.Int64 // indexed by kindIndex
@@ -102,37 +100,33 @@ type Monitor struct {
 	done     chan struct{}
 }
 
-// spCensus is the monitor's simple-lock observer: an aggregate census of
-// spin-lock traffic (PR 3 noted spin locks were invisible to the monitor;
-// the splock observer fan-out closes that). Counts are monitor-lifetime —
-// collection starts at Start and pauses at Stop. The observer runs on
-// every spin acquisition and release, traced or not, so the counts live
-// in the trace layer's goroutine-sharded Counts (lanes below) rather than
-// in process-wide atomics every locker would share.
-type spCensus struct {
-	n trace.Counts
+// spinCensus is the simple-lock census the metrics scrape reports, read
+// from the trace layer at scrape time rather than counted on the lock
+// path: acquisitions, contended acquisitions and releases summed over the
+// simple-lock classes (trace.KindSpin, and trace.KindObject, whose
+// objects lock through splock), and the threads now inside a contended
+// wait on them. Counts cover the time tracing was on since the last
+// trace.ResetProfiles. Unclassed spin locks (the cxlock interlocks, the
+// vm page pool) are not in it: their traffic shows through the
+// complex-lock classes or not at all.
+type spinCensus struct {
+	acquisitions, contended, releases, spinners int64
 }
 
-// The census lanes.
-const (
-	spAcquired  = iota
-	spContended // subset of spAcquired
-	spReleased
-	spSpinning // threads currently in a contended spin
-)
-
-func (c *spCensus) Acquired(l *splock.Lock, contended bool) {
-	c.n.Add(spAcquired, 1)
-	if contended {
-		c.n.Add(spContended, 1)
+func readSpinCensus() spinCensus {
+	var c spinCensus
+	for _, cl := range trace.Classes() {
+		if k := cl.Kind(); k != trace.KindSpin && k != trace.KindObject {
+			continue
+		}
+		p := cl.Snapshot()
+		c.acquisitions += p.Acquisitions
+		c.contended += p.Contended
+		c.releases += p.Releases
+		c.spinners += cl.Spinners()
 	}
+	return c
 }
-
-func (c *spCensus) Released(l *splock.Lock) { c.n.Add(spReleased, 1) }
-
-func (c *spCensus) Waiting(l *splock.Lock) { c.n.Add(spSpinning, 1) }
-
-func (c *spCensus) DoneWaiting(l *splock.Lock) { c.n.Add(spSpinning, -1) }
 
 func kindIndex(k IncidentKind) int {
 	switch k {
@@ -181,10 +175,10 @@ func (m *Monitor) Running() bool {
 	return m.running
 }
 
-// Start enables tracing (if it was off), installs the deadlock tracker as
-// a cxlock observer and the simple-lock census observer, and launches the
-// watchdog goroutine.
-// Idempotent while running.
+// Start enables tracing (if it was off), which also starts the trace
+// classes counting the simple-lock census the scrape reports, installs
+// the deadlock tracker as a cxlock observer, and launches the watchdog
+// goroutine. Idempotent while running.
 func (m *Monitor) Start() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -196,7 +190,6 @@ func (m *Monitor) Start() {
 		m.ownTrace = true
 	}
 	m.tracker.Install()
-	splock.AddObserver(&m.spc)
 	m.stop = make(chan struct{})
 	m.done = make(chan struct{})
 	m.running = true
@@ -221,7 +214,6 @@ func (m *Monitor) Stop() {
 	<-done
 
 	m.tracker.Uninstall()
-	splock.RemoveObserver(&m.spc)
 	m.mu.Lock()
 	if m.ownTrace {
 		trace.Disable()

@@ -4,7 +4,6 @@ import (
 	"hash/maphash"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"machlock/internal/machsim/simhook"
 )
@@ -28,10 +27,6 @@ type bucket struct {
 // tables.
 type Table struct {
 	buckets [nbuckets]bucket
-
-	wakeups      atomic.Int64 // threads made runnable by ThreadWakeup
-	emptyWakeups atomic.Int64 // ThreadWakeup calls that found no waiter
-	clearWaits   atomic.Int64
 }
 
 // NewTable creates an empty event table.
@@ -155,7 +150,6 @@ func (tb *Table) wakeup(e Event, one bool) int {
 	list := b.waiters[e]
 	if len(list) == 0 {
 		b.mu.Unlock()
-		tb.emptyWakeups.Add(1)
 		return 0
 	}
 	var woken int
@@ -176,7 +170,6 @@ func (tb *Table) wakeup(e Event, one bool) int {
 		woken = len(list)
 	}
 	b.mu.Unlock()
-	tb.wakeups.Add(int64(woken))
 	// A wakeup that made threads runnable is a preemption point, as in Mach:
 	// without this, a waker busy-looping on few host cores can hold the
 	// processor for a full preemption quantum per pass while every thread it
@@ -219,7 +212,6 @@ func wakeBlocked(t *Thread, r WaitResult) {
 // is a no-op, returning false.
 func (tb *Table) ClearWait(t *Thread) bool {
 	simhook.Yield(simhook.SchedClearWait, t)
-	tb.clearWaits.Add(1)
 	for {
 		t.mu.Lock()
 		if t.state == running {
@@ -293,15 +285,6 @@ func (tb *Table) Waiting(e Event) bool {
 	defer b.mu.Unlock()
 	return len(b.waiters[e]) > 0
 }
-
-// Wakeups returns the number of threads made runnable by wakeups.
-func (tb *Table) Wakeups() int64 { return tb.wakeups.Load() }
-
-// EmptyWakeups returns the number of wakeup calls that found no waiters.
-func (tb *Table) EmptyWakeups() int64 { return tb.emptyWakeups.Load() }
-
-// ClearWaits returns the number of ClearWait calls.
-func (tb *Table) ClearWaits() int64 { return tb.clearWaits.Load() }
 
 // Package-level wrappers over the default global table. These are the
 // spellings the rest of the kernel uses, matching the paper's names.

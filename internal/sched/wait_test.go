@@ -129,9 +129,11 @@ func TestWakeupDifferentEventDoesNotWake(t *testing.T) {
 
 func TestEmptyWakeupCounted(t *testing.T) {
 	tb := NewTable()
-	tb.ThreadWakeup(new(int))
-	if tb.EmptyWakeups() != 1 {
-		t.Fatalf("empty wakeups = %d, want 1", tb.EmptyWakeups())
+	if n := tb.ThreadWakeup(new(int)); n != 0 {
+		t.Fatalf("empty wakeup woke %d, want 0", n)
+	}
+	if n := tb.ThreadWakeupOne(new(int)); n != 0 {
+		t.Fatalf("empty wakeup-one woke %d, want 0", n)
 	}
 }
 
@@ -399,13 +401,13 @@ func TestTableCounters(t *testing.T) {
 	th := New("counted")
 	ev := new(int)
 	tb.AssertWait(th, ev)
-	tb.ThreadWakeup(ev)
+	woken := tb.ThreadWakeup(ev)
 	tb.ThreadBlock(th)
-	tb.ThreadWakeup(new(int)) // empty
+	empty := tb.ThreadWakeup(new(int))
 	tb.AssertWait(th, ev)
-	tb.ClearWait(th)
-	if tb.Wakeups() != 1 || tb.EmptyWakeups() != 1 || tb.ClearWaits() != 1 {
-		t.Fatalf("wakeups=%d empty=%d clears=%d", tb.Wakeups(), tb.EmptyWakeups(), tb.ClearWaits())
+	cleared := tb.ClearWait(th)
+	if woken != 1 || empty != 0 || !cleared {
+		t.Fatalf("woken=%d empty=%d cleared=%v", woken, empty, cleared)
 	}
 	if th.Name() != "counted" || th.String() != "thread(counted)" {
 		t.Fatalf("identity strings: %q %q", th.Name(), th.String())

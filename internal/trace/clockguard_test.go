@@ -21,16 +21,10 @@ func TestDisabledClassReadsNoClock(t *testing.T) {
 	c := testClass(t, KindComplex)
 	var nilClass *Class
 	for _, cl := range []*Class{c, nilClass} {
-		noClockReads(t, "Acquired", func() { cl.Acquired(true, 1) })
-		noClockReads(t, "AcquiredBy", func() { cl.AcquiredBy(1, false, 0) })
-		noClockReads(t, "AcquiredAt", func() { cl.AcquiredAt(0, 1, false, 0) })
-		noClockReads(t, "Released", func() { cl.Released(1) })
-		noClockReads(t, "ReleasedBy", func() { cl.ReleasedBy(1, 1) })
-		noClockReads(t, "ReleasedAt", func() { cl.ReleasedAt(0, 1, 1) })
-		noClockReads(t, "Waiting", func() { cl.Waiting() })
-		noClockReads(t, "WaitingAt", func() { cl.WaitingAt(0, 1) })
-		noClockReads(t, "DoneWaiting", func() { cl.DoneWaiting(1) })
-		noClockReads(t, "DoneWaitingAt", func() { cl.DoneWaitingAt(0, 1, 1) })
+		noClockReads(t, "AcquiredAt", func() { cl.AcquiredAt(0, 0, true, 1); cl.AcquiredAt(0, 1, false, 0) })
+		noClockReads(t, "ReleasedAt", func() { cl.ReleasedAt(0, 0, 1); cl.ReleasedAt(0, 1, 1) })
+		noClockReads(t, "WaitingAt", func() { cl.WaitingAt(0, 0); cl.WaitingAt(0, 1) })
+		noClockReads(t, "DoneWaitingAt", func() { cl.DoneWaitingAt(0, 0, 1); cl.DoneWaitingAt(0, 1, 1) })
 		noClockReads(t, "Upgraded", func() { cl.Upgraded(true); cl.Upgraded(false) })
 		noClockReads(t, "Downgraded", func() { cl.Downgraded() })
 		noClockReads(t, "RefClone/RefRelease", func() { cl.RefClone(2); cl.RefRelease(1) })
@@ -58,9 +52,9 @@ func TestEnabledClassReadsClockOnce(t *testing.T) {
 	defer Disable()
 	c := testClass(t, KindSpin)
 	before := ClockReads()
-	c.Acquired(false, 0)
+	c.AcquiredAt(0, 0, false, 0)
 	if n := ClockReads() - before; n != 1 {
-		t.Fatalf("Acquired read the clock %d times, want 1", n)
+		t.Fatalf("AcquiredAt read the clock %d times, want 1", n)
 	}
 	before = ClockReads()
 	c.AcquiredAt(Now(), 0, false, 0)

@@ -39,13 +39,13 @@ func TestLockGraphRecordsNestedAcquisition(t *testing.T) {
 	inner := NewClass("graphtest", "vm.object", KindSpin)  // canonical name
 	other := NewClass("graphtest", "ipc.port", KindObject) // never nested
 	for i := 0; i < 3; i++ {
-		outer.AcquiredBy(1, false, 0)
-		inner.AcquiredBy(1, false, 0)
-		inner.ReleasedBy(1, 10)
-		outer.ReleasedBy(1, 20)
+		outer.AcquiredAt(0, 1, false, 0)
+		inner.AcquiredAt(0, 1, false, 0)
+		inner.ReleasedAt(0, 1, 10)
+		outer.ReleasedAt(0, 1, 20)
 	}
-	other.AcquiredBy(1, false, 0)
-	other.ReleasedBy(1, 5)
+	other.AcquiredAt(0, 1, false, 0)
+	other.ReleasedAt(0, 1, 5)
 
 	g := LockGraphSnapshot("test")
 	if err := g.Validate(); err != nil {
@@ -68,18 +68,18 @@ func TestLockGraphOutOfOrderReleaseAndSelfNesting(t *testing.T) {
 	a := NewClass("graphtest", "ipc.space", KindComplex)
 	b := NewClass("graphtest", "kern.task", KindObject)
 	// Hand-over-hand: release a (earlier hold) before b.
-	a.Acquired(false, 0)
-	b.Acquired(false, 0)
-	a.Released(10)
+	a.AcquiredAt(0, 0, false, 0)
+	b.AcquiredAt(0, 0, false, 0)
+	a.ReleasedAt(0, 0, 10)
 	// Still holding b here: acquiring a again must record b->a.
-	a.Acquired(false, 0)
-	a.Released(1)
-	b.Released(5)
+	a.AcquiredAt(0, 0, false, 0)
+	a.ReleasedAt(0, 0, 1)
+	b.ReleasedAt(0, 0, 5)
 	// Same-class nesting (two tasks locked in order) is not an edge.
-	b.Acquired(false, 0)
-	b.Acquired(false, 0)
-	b.Released(1)
-	b.Released(1)
+	b.AcquiredAt(0, 0, false, 0)
+	b.AcquiredAt(0, 0, false, 0)
+	b.ReleasedAt(0, 0, 1)
+	b.ReleasedAt(0, 0, 1)
 
 	g := LockGraphSnapshot("test")
 	if e := findEdge(g, "ipc.space", "kern.task"); e == nil || e.Count != 1 {
@@ -105,16 +105,16 @@ func TestLockGraphPerGoroutineIsolation(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		a.Acquired(false, 0)
+		a.AcquiredAt(0, 0, false, 0)
 		close(holding)
 		<-done
-		a.Released(1)
+		a.ReleasedAt(0, 0, 1)
 	}()
 	go func() {
 		defer wg.Done()
 		<-holding
-		b.Acquired(false, 0)
-		b.Released(1)
+		b.AcquiredAt(0, 0, false, 0)
+		b.ReleasedAt(0, 0, 1)
 		close(done)
 	}()
 	wg.Wait()
@@ -130,14 +130,14 @@ func TestLockGraphZoneCollapseAndUnmapped(t *testing.T) {
 	z2 := NewClass("graphtest", "zone.beta", KindSpin)
 	m := NewClass("graphtest", "vm.map", KindComplex)
 	stray := NewClass("graphtest", "harness.stray", KindSpin)
-	m.Acquired(false, 0)
-	z1.Acquired(false, 0)
-	z1.Released(1)
-	z2.Acquired(false, 0)
-	z2.Released(1)
-	stray.Acquired(false, 0)
-	stray.Released(1)
-	m.Released(9)
+	m.AcquiredAt(0, 0, false, 0)
+	z1.AcquiredAt(0, 0, false, 0)
+	z1.ReleasedAt(0, 0, 1)
+	z2.AcquiredAt(0, 0, false, 0)
+	z2.ReleasedAt(0, 0, 1)
+	stray.AcquiredAt(0, 0, false, 0)
+	stray.ReleasedAt(0, 0, 1)
+	m.ReleasedAt(0, 0, 9)
 
 	g := LockGraphSnapshot("test")
 	if err := g.Validate(); err != nil {
@@ -176,10 +176,10 @@ func TestLockGraphGateOff(t *testing.T) {
 	// Collector off: classed acquisitions must leave no edges behind.
 	a := NewClass("graphtest", "vm.map.ref", KindRef)
 	b := NewClass("graphtest", "kern.pset", KindObject)
-	a.Acquired(false, 0)
-	b.Acquired(false, 0)
-	b.Released(1)
-	a.Released(1)
+	a.AcquiredAt(0, 0, false, 0)
+	b.AcquiredAt(0, 0, false, 0)
+	b.ReleasedAt(0, 0, 1)
+	a.ReleasedAt(0, 0, 1)
 	if g := LockGraphSnapshot("test"); len(g.Edges) != 0 {
 		t.Fatalf("edges recorded while gate off: %+v", g.Edges)
 	}

@@ -65,8 +65,8 @@ func TestWritePromGoldenSchema(t *testing.T) {
 	// One active class per mechanism kind so every family emits labelled
 	// samples (a family with no samples cannot prove its label keys).
 	cx := NewClass("goldtest", t.Name()+".cx", KindComplex)
-	cx.Acquired(true, 100)
-	cx.Released(50)
+	cx.AcquiredAt(0, 0, true, 100)
+	cx.ReleasedAt(0, 0, 50)
 	cx.Upgraded(false)
 	cx.CensusInc()
 	defer cx.CensusDec()

@@ -75,8 +75,8 @@ func TestWritePromValidExposition(t *testing.T) {
 	Enable()
 	defer Disable()
 	c := NewClass("promtest", t.Name(), KindComplex)
-	c.Acquired(true, 1500)
-	c.Released(900)
+	c.AcquiredAt(0, 0, true, 1500)
+	c.ReleasedAt(0, 0, 900)
 	c.CensusInc()
 	defer c.CensusDec()
 

@@ -46,11 +46,15 @@ func (c *Counts) Load(lane int) int64 {
 	return sum
 }
 
-// Reset zeroes every lane.
-func (c *Counts) Reset() {
+// Reset zeroes every lane except keep (a gauge of threads still in
+// flight, which zeroing would leave negative once they leave it; pass -1
+// to keep none).
+func (c *Counts) Reset(keep int) {
 	for i := range c.shards {
 		for j := range c.shards[i].n {
-			c.shards[i].n[j].Store(0)
+			if j != keep {
+				c.shards[i].n[j].Store(0)
+			}
 		}
 	}
 }
@@ -62,6 +66,7 @@ const (
 	laneContended
 	laneRefClone
 	laneRefRelease
+	laneSpinning // gauge: threads inside a contended simple-lock wait
 )
 
 // sampleRate is N of the 1-in-N sampling rule (see sampled). 0 samples

@@ -22,7 +22,7 @@ func TestCountsMergeShards(t *testing.T) {
 	if got := c.Load(0); got != 0 {
 		t.Fatalf("untouched lane reads %d", got)
 	}
-	c.Reset()
+	c.Reset(-1)
 	if got := c.Load(2); got != 0 {
 		t.Fatalf("Reset left %d", got)
 	}

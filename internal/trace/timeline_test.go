@@ -51,11 +51,11 @@ func TestTimelineSlices(t *testing.T) {
 	tid := RegisterThread(t.Name() + "-thread")
 	owner := stubOwner(tid)
 
-	c.AcquiredBy(tid, false, 0)
-	c.ReleasedBy(tid, 5_000) // 5µs hold -> one "hold" slice
-	c.WaitingBy(tid)
-	c.DoneWaitingBy(tid, 3_000) // 3µs wait -> one "wait" slice
-	BeginSpan(owner, op).End()  // -> one "op" slice
+	c.AcquiredAt(0, tid, false, 0)
+	c.ReleasedAt(0, tid, 5_000) // 5µs hold -> one "hold" slice
+	c.WaitingAt(0, tid)
+	c.DoneWaitingAt(0, tid, 3_000) // 3µs wait -> one "wait" slice
+	BeginSpan(owner, op).End()     // -> one "op" slice
 
 	doc := writeTimeline(t, Events(0))
 	if doc.DisplayTimeUnit != "ms" {

@@ -53,7 +53,7 @@ type Kind uint8
 
 // The mechanism kinds.
 const (
-	KindSpin    Kind = iota // splock simple locks (incl. Stat and Checked)
+	KindSpin    Kind = iota // splock simple locks (incl. Checked)
 	KindComplex             // cxlock readers/writer locks
 	KindRef                 // bare reference counts
 	KindObject              // object.Object (lock + refcount + deactivate)
@@ -269,28 +269,15 @@ func (c *Class) contend(waitNs int64) bool {
 	return sampled(n)
 }
 
-// Acquired records one successful acquisition, timed and recorded
-// whatever the sampling rate: the form for lock variants that keep
-// statistics on every hold (splock.Checked, splock.StatLock) and for
-// tests. contended marks an acquisition that did not succeed on the
-// first attempt; waitNs (>= 0) is how long it waited.
-func (c *Class) Acquired(contended bool, waitNs int64) {
-	c.AcquiredAt(0, 0, contended, waitNs)
-}
-
-// AcquiredBy is Acquired with the acquiring thread's trace id (see
-// RegisterThread), which stamps the flight-recorder event so the timeline
-// export can place it on the thread's track. tid 0 means anonymous.
-func (c *Class) AcquiredBy(tid uint32, contended bool, waitNs int64) {
-	c.AcquiredAt(0, tid, contended, waitNs)
-}
-
-// AcquiredAt is AcquiredBy stamped with now, the trace-clock reading the
-// caller already took for its own hold stamp, so the event and the hold
-// arithmetic share one reading. It is the one implementation the other
-// acquisition forms wrap; they pass now == 0, which makes the event take
-// its own reading, and only after On has said yes. The same holds for
-// ReleasedAt, WaitingAt and DoneWaitingAt.
+// AcquiredAt records one successful acquisition by thread tid (see
+// RegisterThread; 0 means anonymous), counted, timed and recorded
+// whatever the sampling rate: the form for tests and tools that feed a
+// class directly. contended marks an acquisition that did not succeed on
+// the first attempt; waitNs (>= 0) is how long it waited. now is the
+// trace-clock reading the caller already took for its own hold stamp, so
+// the event and the hold arithmetic share one reading; 0 makes the event
+// take its own reading, and only after On has said yes. The same holds
+// for ReleasedAt, WaitingAt and DoneWaitingAt.
 func (c *Class) AcquiredAt(now int64, tid uint32, contended bool, waitNs int64) {
 	if !c.On() {
 		return
@@ -302,17 +289,12 @@ func (c *Class) AcquiredAt(now int64, tid uint32, contended bool, waitNs int64) 
 	c.AcquireEvent(now, tid, waitNs)
 }
 
-// Released records one release with the hold time of the critical section
-// (holdNs < 0 means unknown; no hold sample is recorded).
-func (c *Class) Released(holdNs int64) { c.ReleasedAt(0, 0, holdNs) }
-
-// ReleasedBy is Released with the releasing thread's trace id.
-func (c *Class) ReleasedBy(tid uint32, holdNs int64) { c.ReleasedAt(0, tid, holdNs) }
-
-// ReleasedAt is ReleasedBy stamped with now, normally the reading the
-// lock subtracted its acquisition stamp from to get holdNs (0: read here).
-// It is the release of a timed hold: the sampled locks call it for their
-// sampled holds only.
+// ReleasedAt records one release by thread tid with the hold time of the
+// critical section (holdNs < 0 means unknown; no hold sample is
+// recorded), stamped with now, normally the reading the lock subtracted
+// its acquisition stamp from to get holdNs (0: read here). It is the
+// release of a timed hold: the sampled locks call it for their sampled
+// holds only.
 func (c *Class) ReleasedAt(now int64, tid uint32, holdNs int64) {
 	if !c.On() {
 		return
@@ -324,14 +306,9 @@ func (c *Class) ReleasedAt(now int64, tid uint32, holdNs int64) {
 	emit(c.id, OpRelease, holdNs, tid, now)
 }
 
-// Waiting records the start of a wait (sleep or spin) for the lock.
-func (c *Class) Waiting() { c.WaitingAt(0, 0) }
-
-// WaitingBy is Waiting with the waiting thread's trace id.
-func (c *Class) WaitingBy(tid uint32) { c.WaitingAt(0, tid) }
-
-// WaitingAt is WaitingBy stamped with now, the reading the lock took as
-// its wait's start (0: read here).
+// WaitingAt records the start of a wait (sleep or spin) for the lock by
+// thread tid, stamped with now, the reading the lock took as its wait's
+// start (0: read here).
 func (c *Class) WaitingAt(now int64, tid uint32) {
 	if !c.On() {
 		return
@@ -339,20 +316,30 @@ func (c *Class) WaitingAt(now int64, tid uint32) {
 	emit(c.id, OpWait, 0, tid, now)
 }
 
-// DoneWaiting records the end of a wait; waitNs is the time spent waiting.
-func (c *Class) DoneWaiting(waitNs int64) { c.DoneWaitingAt(0, 0, waitNs) }
-
-// DoneWaitingBy is DoneWaiting with the waiting thread's trace id.
-func (c *Class) DoneWaitingBy(tid uint32, waitNs int64) { c.DoneWaitingAt(0, tid, waitNs) }
-
-// DoneWaitingAt is DoneWaitingBy stamped with now, the reading the lock
-// took as its wait's end (0: read here).
+// DoneWaitingAt records the end of thread tid's wait; waitNs is the time
+// spent waiting, and now is the reading the lock took as the wait's end
+// (0: read here).
 func (c *Class) DoneWaitingAt(now int64, tid uint32, waitNs int64) {
 	if !c.On() {
 		return
 	}
 	emit(c.id, OpDoneWait, waitNs, tid, now)
 }
+
+// SpinStart and SpinEnd bracket a contended wait on one of the class's
+// simple locks, for the spinners gauge (Spinners). Unlike every other
+// recording method they are not gated by the enabled flag: a spinner
+// that entered the gauge while tracing was on must leave it even if
+// tracing is off by the time it wins the lock, so the lock pairs the
+// calls itself, on its contended path only.
+func (c *Class) SpinStart() { c.counts.Add(laneSpinning, 1) }
+
+// SpinEnd leaves the spinners gauge; see SpinStart.
+func (c *Class) SpinEnd() { c.counts.Add(laneSpinning, -1) }
+
+// Spinners returns the threads now inside a contended wait on one of the
+// class's simple locks.
+func (c *Class) Spinners() int64 { return c.counts.Load(laneSpinning) }
 
 // Upgraded records a read-to-write upgrade attempt; ok reports whether it
 // succeeded (a failed upgrade released the caller's read hold).
@@ -543,7 +530,7 @@ func (c *Class) Snapshot() Profile {
 
 // reset zeroes the class's accounting.
 func (c *Class) reset() {
-	c.counts.Reset()
+	c.counts.Reset(laneSpinning)
 	c.upgrades.Reset()
 	c.failedUpgrades.Reset()
 	c.downgrades.Reset()

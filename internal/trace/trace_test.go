@@ -46,8 +46,8 @@ func TestDisabledIsInert(t *testing.T) {
 	if c.On() {
 		t.Fatal("On() true while disabled")
 	}
-	c.Acquired(true, 100)
-	c.Released(50)
+	c.AcquiredAt(0, 0, true, 100)
+	c.ReleasedAt(0, 0, 50)
 	p := c.Snapshot()
 	if p.Acquisitions != 0 || p.Contended != 0 || p.Releases != 0 {
 		t.Fatalf("disabled tracing still counted: %+v", p)
@@ -59,10 +59,10 @@ func TestDisabledIsInert(t *testing.T) {
 	// All recording methods must be nil-receiver safe.
 	Enable()
 	defer Disable()
-	nilClass.Acquired(false, 0)
-	nilClass.Released(1)
-	nilClass.Waiting()
-	nilClass.DoneWaiting(1)
+	nilClass.AcquiredAt(0, 0, false, 0)
+	nilClass.ReleasedAt(0, 0, 1)
+	nilClass.WaitingAt(0, 0)
+	nilClass.DoneWaitingAt(0, 0, 1)
 	nilClass.Upgraded(true)
 	nilClass.Downgraded()
 	nilClass.RefClone(1)
@@ -75,9 +75,9 @@ func TestProfileAccounting(t *testing.T) {
 	Enable()
 	defer Disable()
 	c := testClass(t, KindComplex)
-	c.Acquired(false, 0)
-	c.Acquired(true, 1000)
-	c.Released(500)
+	c.AcquiredAt(0, 0, false, 0)
+	c.AcquiredAt(0, 0, true, 1000)
+	c.ReleasedAt(0, 0, 500)
 	c.Upgraded(true)
 	c.Upgraded(false)
 	c.Downgraded()
@@ -114,8 +114,8 @@ func TestFlightRecorderRecordsAndOrders(t *testing.T) {
 	c := testClass(t, KindSpin)
 	const n = 100
 	for i := 0; i < n; i++ {
-		c.Acquired(false, 0)
-		c.Released(int64(i))
+		c.AcquiredAt(0, 0, false, 0)
+		c.ReleasedAt(0, 0, int64(i))
 	}
 	evs := Events(0)
 	var mine []Event
@@ -148,7 +148,7 @@ func TestFlightRecorderWraps(t *testing.T) {
 	defer Disable()
 	c := testClass(t, KindSpin)
 	for i := 0; i < 10_000; i++ {
-		c.Acquired(false, 0)
+		c.AcquiredAt(0, 0, false, 0)
 	}
 	evs := Events(0)
 	if len(evs) == 0 || len(evs) > 8*nshards {
@@ -199,7 +199,7 @@ func TestFlightRecorderConcurrentWraparound(t *testing.T) {
 		go func(tid uint32) {
 			defer wgWriters.Done()
 			for i := 0; i < perWriter; i++ {
-				c.ReleasedBy(tid, int64(i))
+				c.ReleasedAt(0, tid, int64(i))
 			}
 		}(uint32(w))
 	}
@@ -232,10 +232,10 @@ func TestConcurrentRecordingIsSafe(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				c.Acquired(i%7 == 0, int64(i))
+				c.AcquiredAt(0, 0, i%7 == 0, int64(i))
 				c.RefClone(int64(i))
 				c.RefRelease(int64(i))
-				c.Released(int64(i))
+				c.ReleasedAt(0, 0, int64(i))
 			}
 		}()
 	}
@@ -257,8 +257,8 @@ func TestExporters(t *testing.T) {
 	Enable()
 	defer Disable()
 	c := testClass(t, KindSpin)
-	c.Acquired(true, 1000)
-	c.Released(100)
+	c.AcquiredAt(0, 0, true, 1000)
+	c.ReleasedAt(0, 0, 100)
 	ps := []Profile{c.Snapshot()}
 
 	var text strings.Builder
@@ -304,9 +304,9 @@ func TestRankedOrdersByContention(t *testing.T) {
 	cold := NewClass("tracetest", t.Name()+"-cold", KindSpin)
 	_ = cold // registered but idle: must not appear
 	for i := 0; i < 10; i++ {
-		hot.Acquired(true, 10)
+		hot.AcquiredAt(0, 0, true, 10)
 	}
-	warm.Acquired(true, 10)
+	warm.AcquiredAt(0, 0, true, 10)
 	r := Ranked()
 	hotAt, warmAt, coldSeen := -1, -1, false
 	for i, p := range r {

@@ -132,7 +132,11 @@ func WithName(name string) Option {
 // WithClass attaches the lock to a trace observability class; all locks
 // sharing a class aggregate into one contention-profile row, and the
 // queue lock's wait/handoff accounting flows into the same blame
-// machinery as the default lock's.
+// machinery as the default lock's. A named class is a lock's statistics
+// (Appendix A.1's "structure to allow the simple addition of debugging
+// and statistics information"): with tracing enabled, its Snapshot
+// counts every acquisition, contended acquisition and release exactly
+// and times every wait and a 1-in-N sample of holds.
 func WithClass(cl *TraceClass) Option {
 	return func(c *config) { c.cx.Class, c.sp.Class = cl, cl }
 }

@@ -60,13 +60,6 @@ const (
 // NewClassLock creates an unheld two-class lock.
 func NewClassLock() *ClassLock { return cxlock.NewClassLock() }
 
-// StatLock is the statistics variant of the simple lock (Appendix A.1):
-// it records acquisitions, contention, and hold/wait time histograms.
-type StatLock = splock.StatLock
-
-// NewStatLock creates a named statistics lock.
-func NewStatLock(name string) *StatLock { return splock.NewStat(name) }
-
 // RefCount is a reference count protected by its object's lock: Clone
 // under the lock, Release may destroy (Section 8).
 type RefCount = refcount.Count

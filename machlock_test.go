@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"machlock"
+	"machlock/internal/trace"
 )
 
 // TestQuickstart mirrors the package-documentation example.
@@ -137,12 +138,19 @@ func TestPublicClassLock(t *testing.T) {
 	l.Release(machlock.ReverseClass, b)
 }
 
-func TestPublicStatLock(t *testing.T) {
-	l := machlock.NewStatLock("public")
+// TestPublicSimpleLockClassStats: a simple lock's statistics are its
+// class's (Appendix A.1's statistics structure): build it WithClass and
+// read the class's Snapshot.
+func TestPublicSimpleLockClassStats(t *testing.T) {
+	if !trace.Enabled() {
+		trace.Enable()
+		defer trace.Disable()
+	}
+	cl := trace.NewClass("machlock_test", t.Name(), trace.KindSpin)
+	l := machlock.NewSimpleLock(machlock.WithClass(cl), machlock.WithName("public"))
 	l.Lock()
 	l.Unlock()
-	r := l.Report()
-	if r.Name != "public" || r.Acquisitions != 1 {
-		t.Fatalf("report = %+v", r)
+	if p := cl.Snapshot(); p.Acquisitions != 1 || p.Releases != 1 || p.Contended != 0 {
+		t.Fatalf("profile = %+v", p)
 	}
 }

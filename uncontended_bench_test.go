@@ -46,18 +46,6 @@ func BenchmarkUncontendedSpinClassed(b *testing.B) {
 	}
 }
 
-// BenchmarkUncontendedStatLock measures the always-on statistics variant
-// (two clock reads per cycle on top of the spin lock).
-func BenchmarkUncontendedStatLock(b *testing.B) {
-	trace.Disable()
-	l := splock.NewStat("bench.stat")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Lock()
-		l.Unlock()
-	}
-}
-
 // BenchmarkUncontendedComplexRead / Write: the unclassed complex lock.
 func BenchmarkUncontendedComplexRead(b *testing.B) {
 	l := cxlock.NewWith(cxlock.Options{})
