@@ -28,7 +28,9 @@ inline-check:
 	for want in 'internal/trace/trace\.go:[0-9:]+ can inline \(\*Class\)\.On$$' \
 		'internal/trace/trace\.go:[0-9:]+ can inline Enabled$$' \
 		'internal/machsim/simhook/simhook\.go:[0-9:]+ can inline Enabled$$' \
-		'internal/machsim/simhook/simhook\.go:[0-9:]+ can inline Yield$$'; do \
+		'internal/machsim/simhook/simhook\.go:[0-9:]+ can inline Yield$$' \
+		'internal/machsim/simhook/simhook\.go:[0-9:]+ can inline Note$$' \
+		'internal/machsim/simhook/simhook\.go:[0-9:]+ can inline Index$$'; do \
 		echo "$$out" | grep -Eq "$$want" || { echo "inline-check: no match for $$want"; exit 1; }; \
 	done; echo "inline-check: ok"
 

@@ -11,8 +11,6 @@
 //   - call-site edges: for each call made while holding locks, one edge
 //     from each held class to each class in the callee's transitive set.
 //
-// Object reference ops that lock internally (object.Object TakeRef and
-// Release) contribute an ephemeral acquisition of the object's class.
 // Function literals are walked as their own frames (a closure body may
 // run under the locks of whoever invokes it, which the dynamic collector
 // observes per-goroutine), and their acquire sets fold into the enclosing
@@ -315,33 +313,24 @@ func mergeFlags(t map[string]AcqFlags, cls string, fl AcqFlags) bool {
 }
 
 // walkBody walks one frame (function body or function literal body),
-// recording direct acquisitions, ephemeral object-ref acquisitions, and
-// calls with their held context into rec.
+// recording direct acquisitions and calls with their held context into
+// rec.
 func walkBody(pass *framework.Pass, body *ast.BlockStmt, rec *funcRecord) {
-	acquireAt := func(cls string, mayBlock, tryOnly bool, held []lockstate.Held, pos token.Pos) {
-		if !usableClass(cls) {
-			return
-		}
-		mergeFlags(rec.direct, cls, AcqFlags{MayBlock: mayBlock, TryOnly: tryOnly})
-		site := renderSite(pass, pos)
-		for _, h := range held {
-			if !usableClass(h.Op.ClassKey) || h.Op.ClassKey == cls {
-				continue
-			}
-			addEdge(h.Op.ClassKey, cls, mayBlock, tryOnly || h.Op.FromTry, site)
-		}
-	}
 	w := &lockstate.Walker{
 		Info: pass.TypesInfo,
 		Hooks: lockstate.Hooks{
 			Acquire: func(op lockstate.Op, held []lockstate.Held) {
-				acquireAt(op.ClassKey, op.MayBlock, op.FromTry, held, op.Call.Pos())
-			},
-			Ref: func(op lockstate.Op, held []lockstate.Held) {
-				// object.Object's TakeRef and Release lock the object
-				// internally; Reference and the bare refcount ops do not.
-				if op.IsObject && (op.FuncName == "TakeRef" || op.FuncName == "Release") {
-					acquireAt(op.ClassKey, false, false, held, op.Call.Pos())
+				cls := op.ClassKey
+				if !usableClass(cls) {
+					return
+				}
+				mergeFlags(rec.direct, cls, AcqFlags{MayBlock: op.MayBlock, TryOnly: op.FromTry})
+				site := renderSite(pass, op.Call.Pos())
+				for _, h := range held {
+					if !usableClass(h.Op.ClassKey) || h.Op.ClassKey == cls {
+						continue
+					}
+					addEdge(h.Op.ClassKey, cls, op.MayBlock, op.FromTry || h.Op.FromTry, site)
 				}
 			},
 			CallHeld: func(call *ast.CallExpr, held []lockstate.Held) {

@@ -10,12 +10,18 @@
 //     the deactivation flag each time it locks the object, and pointers
 //     read from the object cannot be cached across an unlock/relock.
 //   - A reference is required in order to (re)lock an object at all.
+//   - References are kept in an atomic count (refcount.Atomic), not under
+//     the object lock as the paper does: a clone or release reads no other
+//     state, so it takes no lock. The lock guards the object's state
+//     (active and whatever the embedding type adds).
 //   - Deactivation is for objects that are actively terminated (tasks,
 //     threads, ports); objects that passively vanish with their last
 //     reference (memory maps) never set the flag.
 //
 // Object is intended for embedding: kernel types (Task, Thread, Port,
-// vm.Object) embed it and gain the whole discipline.
+// PortSet, Processor, ProcessorSet) embed it and gain the whole discipline.
+// The memory object (vm.Object) does not: its count is read together with
+// its paging count under its own lock, so it keeps a locked count.
 package object
 
 import (
@@ -35,13 +41,13 @@ import (
 // code".
 var ErrDeactivated = errors.New("object: deactivated")
 
-// Object is the embeddable kernel-object base: one simple lock, one
+// Object is the embeddable kernel-object base: one simple lock, one atomic
 // reference count, one active flag. The zero value is NOT usable; call
 // Init (objects are created with one reference, and a zero count is
 // indistinguishable from a destroyed object).
 type Object struct {
 	lock   splock.Lock
-	refs   refcount.Count
+	refs   refcount.Atomic
 	active bool
 	name   string
 	class  *trace.Class
@@ -130,39 +136,36 @@ func (o *Object) Deactivate() bool {
 	return true
 }
 
-// Reference clones a reference. The object must be locked (cloning is an
-// increment under the object lock and never blocks, so it is safe while
-// holding other locks).
+// Reference clones a reference: one atomic increment, with or without the
+// object lock held (it never blocks, so it is safe while holding other
+// locks). The caller must hold a reference; cloning a dead count panics.
 func (o *Object) Reference() { o.refs.Clone() }
 
-// TakeRef is the lock-clone-unlock convenience used by translation code:
-// it acquires the object lock, clones a reference, and unlocks. The caller
-// must already hold (or be covered by) a reference, e.g. the one held by
-// the translation data structure it found the object through.
-func (o *Object) TakeRef() {
-	o.Lock()
-	o.refs.Clone()
-	o.Unlock()
-}
+// TakeRef clones a reference for translation code: one atomic increment,
+// no lock. The caller must already hold, or be covered by, a reference that
+// cannot be dropped mid-clone. Every translation path is covered so:
+// Space.Translate clones under the space lock, which pins the table's
+// reference, and Port.KObject clones under the port lock after checking
+// that the port is active, which pins the port's kobject reference. That
+// covering reference also keeps Section 10's rule, "a deactivated object
+// yields no new references", so no lookup needs an increment-if-not-zero.
+func (o *Object) TakeRef() { o.refs.Clone() }
 
-// Refs returns the current reference count. The object must be locked.
+// Refs returns the current reference count (a snapshot: other holders may
+// clone or release concurrently).
 func (o *Object) Refs() int32 { return o.refs.Refs() }
 
-// Release drops one reference. If it was the last, destroy is run (with
-// the object unlocked) and the object's storage is considered gone: any
-// later Lock panics. Because destroy may block (it frees resources), the
-// paper forbids calling Release while holding any non-sleep lock or between
-// assert_wait and thread_block; passing the releasing thread's spin-held
-// count through sched's checked-lock machinery enforces the former for
-// checked locks.
+// Release drops one reference: one atomic decrement. If it was the last,
+// destroy is run by the releasing thread, outside any lock, and the
+// object's storage is considered gone: any later Lock panics. Because
+// destroy may block (it frees resources), the paper forbids calling Release
+// while holding any non-sleep lock or between assert_wait and thread_block;
+// passing the releasing thread's spin-held count through sched's
+// checked-lock machinery enforces the former for checked locks.
 //
 // Release returns true when the object was destroyed.
 func (o *Object) Release(destroy func()) bool {
-	o.Lock()
-	//machvet:allow holdblock — the decrement under the object's own lock is the release protocol; the blocking destroy runs after Unlock
-	last := o.refs.Release()
-	o.Unlock()
-	if !last {
+	if !o.refs.Release() {
 		return false
 	}
 	// Count reached zero: no pointers, no operations in progress, no way

@@ -17,11 +17,13 @@
 //     pointers, and no way to invoke new operations, so the object and its
 //     data structure are destroyed.
 //
-// Count is the basic lock-protected count; Atomic is a lock-free variant
-// provided for the E6 comparison with modern practice ("Reference counts
-// may be best done by putting a mutex around an integer variable" is
-// exactly how Mach does it; the paper predates ubiquitous atomic RMW
-// refcounts).
+// Atomic is the kernel-object count (object.Object): a clone is one atomic
+// increment and a release one atomic decrement, with no lock taken. The
+// paper put "a mutex around an integer variable" because Mach of 1991 could
+// not assume atomic read-modify-write; this repo can. Count is the
+// lock-protected form, kept where the count is read together with other
+// state under the same lock (vm.Object's dual count, vm.Map) and as E6's
+// Mach baseline.
 package refcount
 
 import (
@@ -33,9 +35,9 @@ import (
 )
 
 // Count is a reference count protected by its object's lock: every method
-// must be called with that lock held (the package cannot check this itself;
-// object.Object wires the check up). The zero value is a dead count; use
-// Init.
+// must be called with that lock held (the package cannot check this
+// itself). vm.Object and vm.Map keep it; the zero value is a dead count;
+// use Init.
 type Count struct {
 	n int32
 
@@ -93,9 +95,10 @@ func (c *Count) Release() bool {
 	return c.n == 0
 }
 
-// Atomic is a lock-free reference count over hardware atomics — the modern
-// alternative Mach could not assume in 1991. Used by experiment E6 to
-// quantify what the lock-protected discipline costs.
+// Atomic is a lock-free reference count over hardware atomics, the count
+// every kernel object keeps (object.Object). The caller of Clone must hold
+// a reference, or be covered by one that cannot be dropped mid-clone; no
+// lock is required.
 type Atomic struct {
 	n     atomic.Int32
 	class *trace.Class
@@ -111,27 +114,30 @@ func (a *Atomic) SetClass(cl *trace.Class) { a.class = cl }
 // Refs returns the current count.
 func (a *Atomic) Refs() int32 { return a.n.Load() }
 
-// Clone increments the count, panicking if it observes a dead count.
+// Clone increments the count, panicking if it observes a dead count. The
+// clone is noted before the panic, so a schedule explorer's model names a
+// resurrection rather than a bare panic.
 func (a *Atomic) Clone() {
 	simhook.Yield(simhook.RefClone, a)
 	n := a.n.Add(1)
+	simhook.Note(simhook.RefClone, a, int64(n))
 	if n <= 1 {
 		panic("refcount: cloning a dead reference (atomic)")
 	}
-	simhook.Note(simhook.RefClone, a, int64(n))
 	if a.class.On() {
 		a.class.RefClone(int64(n))
 	}
 }
 
-// Release decrements, returning true at zero.
+// Release decrements, returning true at zero. Like Clone, it notes the
+// observed count before an over-release panics.
 func (a *Atomic) Release() bool {
 	simhook.Yield(simhook.RefRelease, a)
 	n := a.n.Add(-1)
+	simhook.Note(simhook.RefRelease, a, int64(n))
 	if n < 0 {
 		panic("refcount: releasing unheld reference (atomic)")
 	}
-	simhook.Note(simhook.RefRelease, a, int64(n))
 	if a.class.On() {
 		a.class.RefRelease(int64(n))
 	}

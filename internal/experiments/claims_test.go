@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -71,6 +72,10 @@ func TestClaimE4UpgradeRestarts(t *testing.T) {
 			for n := 0; n < 3000; n++ {
 				for {
 					l.Read(self)
+					// The work a reader does before deciding to
+					// upgrade: the window in which another reader's
+					// upgrade makes this one fail.
+					runtime.Gosched()
 					if failed := l.ReadToWrite(self); failed {
 						restarts.Add(1)
 						continue

@@ -94,3 +94,50 @@ func TestSimOperationsRaceWithTermination(t *testing.T) {
 		MaxRuns:     2000,
 	}, machsim.Options{}))
 }
+
+// TestSimTranslateRacesRemoveDestroy is the deterministic twin of
+// TestSpaceTranslateRacesRemoveDestroy: a translator races the removal and
+// destruction of the port it names. Translate's atomic clone is covered
+// only by the table's reference, pinned by the space lock's read hold, so
+// on every schedule the translation either fails with ErrBadName or clones
+// a live count (the reference model's ref-resurrect checker watches every
+// clone), and the port is destroyed exactly once, at the end.
+func TestSimTranslateRacesRemoveDestroy(t *testing.T) {
+	scenario := func(s *machsim.Sim) {
+		space := NewSpace()
+		port := NewPort("named")
+		n := space.Insert(nil, port)
+		s.Label(port, "named-port")
+		translated := false
+		s.Spawn("translator", func(th *sched.Thread) {
+			p, err := space.Translate(th, n)
+			if err != nil {
+				return
+			}
+			translated = true
+			p.Lock() // a reference is required to lock
+			p.Unlock()
+			p.Release(nil)
+		})
+		s.Spawn("remover", func(th *sched.Thread) {
+			if err := space.Remove(th, n); err != nil {
+				panic(err)
+			}
+			port.Destroy()
+		})
+		s.AtEnd(func(fail func(string, ...any)) {
+			if !port.Destroyed() {
+				fail("port survived Remove and Destroy (translated=%v)", translated)
+			}
+		})
+	}
+	res := machsim.Explore(scenario, machsim.DFSConfig{
+		Preemptions: 2,
+		Reduction:   machsim.ReduceSleep,
+		MaxRuns:     20000,
+	}, machsim.Options{})
+	machsim.Check(t, res)
+	if !res.Exhausted {
+		t.Fatalf("space not exhausted: %s", res.Summary())
+	}
+}

@@ -78,8 +78,7 @@ func (s *Space) Translate(t *sched.Thread, n Name) (*Port, error) {
 		return nil, ErrBadName
 	}
 	// Clone while the space lock pins the table's reference. TakeRef is
-	// the port object's own (interlocked) protocol, safe under a shared
-	// hold.
+	// one atomic increment, safe under a shared hold.
 	p.TakeRef()
 	s.lock.Done(t)
 	return p, nil

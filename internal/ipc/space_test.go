@@ -2,7 +2,9 @@ package ipc
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"machlock/internal/sched"
@@ -96,6 +98,74 @@ func TestSpaceConcurrentTranslationNeverDangles(t *testing.T) {
 	s.Remove(nil, n)
 	wg.Wait()
 	p.Destroy()
+}
+
+// TestSpaceTranslateRacesRemoveDestroy: port references are atomic, so the
+// only thing covering a translator's clone is the table's reference, pinned
+// by the space lock's read hold. Four translators hammer a set of names
+// while one goroutine removes and destroys every port: no translation
+// returns a destroyed port, and each port is destroyed exactly once (all
+// are destroyed, and the port class's live census is back at its base,
+// which a second destruction would push below). Run it under -race.
+func TestSpaceTranslateRacesRemoveDestroy(t *testing.T) {
+	const ports, translators = 64, 4
+	base := classPort.Live()
+	s := NewSpace()
+	ps := make([]*Port, ports)
+	objs := make([]*kobj, ports)
+	names := make([]Name, ports)
+	for i := range ps {
+		ps[i] = NewPort("hammer")
+		objs[i] = newKobj("hammer.kobj")
+		ps[i].SetKObject(KindCustom, objs[i])
+		names[i] = s.Insert(nil, ps[i])
+	}
+	var done atomic.Bool
+	var started, wg sync.WaitGroup
+	started.Add(translators)
+	for g := 0; g < translators; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			self := sched.New("translator")
+			for i := g; !done.Load(); i++ {
+				p, err := s.Translate(self, names[i%ports])
+				if i == g {
+					started.Done() // the first try is before any Remove
+				}
+				if err != nil {
+					continue // removed
+				}
+				if p.Destroyed() {
+					t.Error("Translate returned a destroyed port")
+				}
+				p.Lock() // a reference is required to lock: proves it
+				p.Unlock()
+				if _, ko, err := p.KObject(); err == nil {
+					ko.Release(nil)
+				}
+				p.Release(nil)
+			}
+		}(g)
+	}
+	started.Wait()
+	for i, n := range names {
+		if err := s.Remove(nil, n); err != nil {
+			t.Fatal(err)
+		}
+		ps[i].Destroy()
+		runtime.Gosched()
+	}
+	done.Store(true)
+	wg.Wait()
+	for i, p := range ps {
+		if !p.Destroyed() || !objs[i].Destroyed() {
+			t.Fatalf("port %d or its kernel object survived Remove and Destroy", i)
+		}
+	}
+	if live := classPort.Live(); live != base {
+		t.Fatalf("ipc.port census = %d, want %d", live, base)
+	}
 }
 
 func TestSpaceBiasAccounting(t *testing.T) {

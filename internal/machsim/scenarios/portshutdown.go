@@ -28,9 +28,9 @@ type kobj struct {
 // read the object pointer under the port lock, unlock, and only THEN take
 // the reference. In the unlock-to-clone window the destroyer's release
 // drops the last reference and destroys the object; the late TakeRef then
-// locks freed storage, which the object discipline reports (a reference is
-// required in order to relock an object). The search must find that
-// window.
+// increments the dead count back to one. The reference model reports the
+// resurrection (ref-resurrect), and the count's own dead-clone panic
+// follows it (panic). The search must find that window.
 func PortShutdownScenario(fixed bool) machsim.Scenario {
 	if fixed {
 		return portShutdownReal

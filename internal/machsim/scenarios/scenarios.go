@@ -53,7 +53,7 @@ func All() []Named {
 			Scenario:     PortShutdownScenario(false),
 			Preemptions:  1,
 			Reduction:    machsim.ReduceSleep,
-			WantCheckers: []string{"relock-reference"},
+			WantCheckers: []string{"panic", "ref-resurrect"},
 		},
 		{
 			Name:        "intbarrier",

@@ -202,8 +202,19 @@ func Yield(p Point, obj any) {
 	}
 }
 
-// Note forwards to the active harness, if any.
+// Note forwards to the active harness, if any. The disabled path is one
+// inlined load and branch; the interface call lives in note.
 func Note(p Point, obj any, n int64) {
+	if active.Load() != nil {
+		note(p, obj, n)
+	}
+}
+
+// note reloads the harness, which may have been uninstalled since Note's
+// gate read it.
+//
+//go:noinline
+func note(p Point, obj any, n int64) {
 	if h := active.Load(); h != nil {
 		(*h).Note(p, obj, n)
 	}
@@ -244,8 +255,20 @@ func NowNs() (int64, bool) {
 }
 
 // Index returns the harness's stable identity for thread t, or ok=false
-// when no harness is installed or t is not a managed virtual thread.
-func Index(t any) (int, bool) {
+// when no harness is installed or t is not a managed virtual thread. Like
+// Note, the disabled path is one inlined load and branch.
+func Index(t any) (i int, ok bool) {
+	if active.Load() != nil {
+		i, ok = index(t)
+	}
+	return
+}
+
+// index reloads the harness, which may have been uninstalled since Index's
+// gate read it.
+//
+//go:noinline
+func index(t any) (int, bool) {
 	if h := active.Load(); h != nil {
 		return (*h).Index(t)
 	}

@@ -203,7 +203,14 @@ func (m *Map) ShortageWaits() int64 { return m.shortWait.Load() }
 //   - take the map lock for reading (a recursive holder's read bypasses
 //     pending writers, which is what lets vm_map_pageable call this with
 //     the lock held recursively);
+//   - under one hold of the object lock, refuse a terminating object and
+//     look the page up. A resident hit finishes in that hold and takes no
+//     paging count: the map read hold pins the entry, and the entry's
+//     reference pins the object, so termination cannot begin under it;
 //   - busy pages are waited for and the whole fault retried;
+//   - only a miss registers paging in progress (Section 8's dual count),
+//     in the same hold that inserts the busy placeholder, so the object's
+//     last release waits for the fill before it frees pages;
 //   - on memory shortage the fault "drops its lock to wait for memory" —
 //     the exact behaviour that deadlocks under a recursive hold, since
 //     only this fault's own hold is dropped, not the outer one.
@@ -218,12 +225,13 @@ func (m *Map) Fault(t *sched.Thread, va uint64, wire bool) error {
 		}
 		obj := e.object
 		off := e.offset + (va - e.start)
-		if err := obj.PagingBegin(); err != nil {
-			m.lock.Done(t)
-			return err
-		}
 
 		obj.lock.Lock()
+		if obj.terminating {
+			obj.lock.Unlock()
+			m.lock.Done(t)
+			return ErrTerminating
+		}
 		if pg, ok := obj.lookupPage(off); ok {
 			if pg.busy {
 				// Another fault is filling this page: wait for it
@@ -232,7 +240,6 @@ func (m *Map) Fault(t *sched.Thread, va uint64, wire bool) error {
 				pg.wanted = true
 				sched.AssertWait(t, sched.Event(pg))
 				obj.lock.Unlock()
-				obj.PagingEnd()
 				m.lock.Done(t)
 				sched.ThreadBlock(t)
 				continue
@@ -241,12 +248,13 @@ func (m *Map) Fault(t *sched.Thread, va uint64, wire bool) error {
 				pg.wired = true
 			}
 			obj.lock.Unlock()
-			obj.PagingEnd()
 			m.faults.Add(1)
 			m.lock.Done(t)
 			return nil
 		}
-		// Not resident: insert a busy placeholder and fill it.
+		// Not resident: register the paging operation and insert a busy
+		// placeholder, then fill it.
+		obj.pagingInProgress++
 		pg := &Page{offset: off, busy: true, wired: wire}
 		obj.pages[off] = pg
 		obj.lock.Unlock()

@@ -22,6 +22,11 @@ var classObject = trace.NewClass("vm", "vm.object", trace.KindSpin)
 //     for the data structure, plus pagingInProgress — "a hybrid of a
 //     reference and a lock because it excludes operations such as object
 //     termination that cannot be performed while paging is in progress."
+//     The reference count therefore stays a locked refcount.Count, unlike
+//     the atomic count of object.Object: the last release sets terminating
+//     and drains pagingInProgress in the same hold of the object lock, and
+//     a fault that misses takes its paging count in the hold that checks
+//     terminating.
 //
 //   - A customized lock (Section 5): pager-port creation can block, so it
 //     cannot happen under the object's simple lock; instead two boolean

@@ -8,6 +8,7 @@ import (
 
 	"machlock/internal/ipc"
 	"machlock/internal/sched"
+	"machlock/internal/trace"
 )
 
 func join(t *testing.T, what string, threads ...*sched.Thread) {
@@ -288,6 +289,92 @@ func TestConcurrentFaultsSamePageSingleFill(t *testing.T) {
 	if pool.FreeCount() != 7 {
 		t.Fatalf("free = %d, want 7 (double allocation)", pool.FreeCount())
 	}
+}
+
+// TestResidentFaultOneObjectHold: a resident hit checks terminating and
+// looks the page up under a single hold of the object lock, with no paging
+// count around it, so it adds exactly one vm.object acquisition.
+func TestResidentFaultOneObjectHold(t *testing.T) {
+	trace.Enable()
+	defer trace.Disable()
+	pool := NewPool(2)
+	m := NewMap(pool)
+	o := NewObject(pool, 2)
+	th := sched.New("t")
+	if err := m.Allocate(th, 0, 2, o, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Fault(th, 1, false); err != nil { // the miss fills the page
+		t.Fatal(err)
+	}
+	before := classObject.Snapshot()
+	if err := m.Fault(th, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	after := classObject.Snapshot()
+	if acq := after.Acquisitions - before.Acquisitions; acq != 1 {
+		t.Fatalf("resident fault took the object lock %d times, want 1", acq)
+	}
+	if n := o.PagingInProgress(); n != 0 {
+		t.Fatalf("paging count %d after a resident fault, want 0", n)
+	}
+	o.Release(th)
+	m.Release(th)
+}
+
+// TestFaultMissHoldsPagingCount: only a miss takes the paging count, in the
+// hold that inserts its busy placeholder, and the object's last release
+// waits for that count to drain before it frees pages (Section 8's dual
+// count). The map read hold keeps the entry's reference alive across a
+// fill, so the test drops that reference itself, from outside the map, to
+// put a last release inside the window the paging count guards.
+func TestFaultMissHoldsPagingCount(t *testing.T) {
+	pool := NewPool(4)
+	m := NewMap(pool)
+	o := NewObject(pool, 4)
+	inside, gate := make(chan int32, 1), make(chan struct{})
+	m.SetFetcher(func(_ *sched.Thread, obj *Object, _ uint64) []byte {
+		inside <- obj.PagingInProgress()
+		<-gate
+		return []byte{1}
+	})
+	boss := sched.New("boss")
+	if err := m.Allocate(boss, 0, 4, o, 0); err != nil {
+		t.Fatal(err)
+	}
+	faulter := sched.Go("faulter", func(self *sched.Thread) {
+		if err := m.Fault(self, 1, false); err != nil {
+			t.Errorf("fault: %v", err)
+		}
+	})
+	if n := <-inside; n != 1 {
+		t.Fatalf("paging count inside the fill = %d, want 1", n)
+	}
+	released := make(chan struct{})
+	terminator := sched.Go("terminator", func(self *sched.Thread) {
+		o.Release(self) // the creator's reference
+		o.Release(self) // the entry's: the last, so termination begins
+		close(released)
+	})
+	select {
+	case <-released:
+		t.Fatal("termination completed while a miss was filling")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if free := pool.FreeCount(); free != 3 {
+		t.Fatalf("free = %d during the fill, want 3", free)
+	}
+	close(gate)
+	join(t, "faulter and terminator", faulter, terminator)
+	if free := pool.FreeCount(); free != 4 {
+		t.Fatalf("free = %d after termination, want 4 (filled page not freed)", free)
+	}
+	// The entry's reference is gone: detach the entry so the map's own
+	// release does not drop it a second time.
+	m.lock.Write(boss)
+	m.entries = nil
+	m.lock.Done(boss)
+	m.Release(boss)
 }
 
 func TestFaultShortageWaitsAndResumes(t *testing.T) {

@@ -64,12 +64,12 @@ func NewClassLock() *ClassLock { return cxlock.NewClassLock() }
 // under the lock, Release may destroy (Section 8).
 type RefCount = refcount.Count
 
-// AtomicRefCount is the lock-free alternative Mach could not assume in
-// 1991, provided for comparison (experiment E6).
+// AtomicRefCount is the lock-free count Mach could not assume in 1991: the
+// count every KernelObject keeps; experiment E6 compares it with RefCount.
 type AtomicRefCount = refcount.Atomic
 
-// KernelObject is the embeddable base combining a simple lock, a reference
-// count, and the Section 9 deactivation protocol. Embed it to obtain the
+// KernelObject is the embeddable base combining a simple lock, an atomic
+// reference count, and the Section 9 deactivation protocol. Embed it to obtain the
 // whole discipline; always Init with a name (objects are born with one
 // reference, the creator's).
 type KernelObject = object.Object
