@@ -84,13 +84,13 @@ bench:
 bench-smoke:
 	$(GO) test -bench=BenchmarkUncontended -benchtime=1x -run='^$$' .
 
-# Arsenal shootout smoke (also run in CI): the production algorithms'
-# uncontended pairs, the E14 contended sweep across every
-# machlock.Algorithm, and the deterministic E14 claims test on the
-# simulated locks (queue/cohort beat TTAS at 16 CPUs, cohort wins
+# Arsenal shootout smoke (also run in CI): the host's one simple lock
+# (the paper's TAS+TTAS) uncontended, direct and through the facade, and
+# contended under E14's benchmark, then the deterministic E14 claims test
+# on the simulated locks (queue/cohort beat TTAS at 16 CPUs, cohort wins
 # cross-cell locality, adaptive actually parks).
 bench-arsenal:
-	$(GO) test -bench='BenchmarkUncontended(Spin$$|Queue|Facade)|BenchmarkE14' \
+	$(GO) test -bench='BenchmarkUncontended(Spin|Facade)$$|BenchmarkE14' \
 		-benchtime=100x -run='^$$' .
 	$(GO) test -run 'TestClaimE14' -count=1 ./internal/experiments/
 

@@ -499,28 +499,21 @@ func BenchmarkExperimentDriversQuick(b *testing.B) {
 	}
 }
 
-// BenchmarkE14ArsenalContended: each production algorithm under
-// GOMAXPROCS-wide contention with a short critical section, labeled by
-// algorithm so `-bench E14 | benchstat` lines them up directly. The
-// deterministic coherence tables come from `go run ./cmd/machbench e14`.
+// BenchmarkE14ArsenalContended: the host's one simple-lock algorithm, the
+// paper's TAS+TTAS, under GOMAXPROCS-wide contention with a short
+// critical section. The other policies run only on the simulated
+// machine; their coherence tables come from `go run ./cmd/machbench e14`.
 func BenchmarkE14ArsenalContended(b *testing.B) {
-	for _, a := range machlock.Algorithms() {
-		b.Run(a.String(), func(b *testing.B) {
-			l := machlock.NewSimpleLock(
-				machlock.WithAlgorithm(a),
-				machlock.WithName("bench.e14."+a.String()),
-			)
-			var n int64
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					l.Lock()
-					n++
-					l.Unlock()
-				}
-			})
-			if n != int64(b.N) {
-				b.Fatalf("lost updates under %s: n=%d, want %d", a, n, b.N)
-			}
-		})
+	l := machlock.NewSimpleLock(machlock.WithName("bench.e14"))
+	var n int64
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			l.Lock()
+			n++
+			l.Unlock()
+		}
+	})
+	if n != int64(b.N) {
+		b.Fatalf("lost updates: n=%d, want %d", n, b.N)
 	}
 }

@@ -56,20 +56,20 @@
 //
 // # Acquisition algorithms
 //
-// One Algorithm enum selects how a lock is acquired under contention,
-// for both lock shapes:
+// A simple lock runs one algorithm, the paper's: a test-and-set first,
+// then test-and-test-and-set spinning, because "most locks in a well
+// designed system are acquired on the first attempt". A complex lock
+// chooses how its waiters wait:
 //
-//	hot := machlock.NewSimpleLock(machlock.WithAlgorithm(machlock.Queue))
 //	cl := machlock.NewLock(machlock.WithSpinThenPark(64)) // sleepable
 //
-// Default is the paper's TAS+TTAS spin; Queue is an MCS lock (per-waiter
-// queue nodes, local spinning, FIFO handoff — handoff traffic stays
-// constant as waiters are added). WithAlgorithm on a complex lock
-// selects the interlock's algorithm. WithSpinThenPark gives a complex
-// lock spin-then-park waiting and implies WithSleep. The other spin
-// policies (pure TAS and TTAS, test-and-clear, cohort, adaptive) are
-// claims about interconnect traffic and run only on the simulated
-// machine, where experiments E1 and E14 measure them.
+// WithSpinThenPark gives a complex lock spin-then-park waiting and
+// implies WithSleep. The other spin policies (pure TAS and TTAS,
+// test-and-clear, MCS queue, cohort, adaptive) are claims about
+// interconnect traffic and run only on the simulated machine, where
+// experiments E1 and E14 measure them. On the host a queue lock's FIFO
+// handoff to a waiter that is not running costs more than the stampede
+// it avoids.
 //
 // The deeper subsystems the paper describes — the simulated multiprocessor
 // with coherence accounting, the VM system with the vm_map_pageable

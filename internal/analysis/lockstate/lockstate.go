@@ -62,7 +62,7 @@ const (
 	OpUpgradeKeep
 	// OpDowngrade is cxlock WriteToRead: the hold continues in read mode.
 	OpDowngrade
-	// OpRefTake clones a reference (Reference, TakeRef, refcount Clone).
+	// OpRefTake clones a reference (TakeRef, refcount Clone).
 	OpRefTake
 	// OpRefRelease drops a reference; the paper makes this a potentially
 	// blocking operation ("Release may destroy and therefore block").
@@ -131,10 +131,8 @@ func reg(pkg, recv, method string, e opEntry) {
 
 func init() {
 	// splock simple locks: every implementation and the Mutex interface.
-	// splock.Lock covers both production algorithms (TAS+TTAS and
-	// queue): the algorithm is an option on the one type, so the
-	// type-exact rows below classify both identically. SimLock is the
-	// coherence-simulation twin with the same hold discipline.
+	// SimLock is the coherence-simulation twin with the same hold
+	// discipline.
 	for _, recv := range []string{"Lock", "Checked", "OrderedLock", "Noop", "Mutex", "SimLock"} {
 		reg(pkgSplock, recv, "Lock", opEntry{kind: OpAcquire, class: Simple})
 		reg(pkgSplock, recv, "TryLock", opEntry{kind: OpTryAcquire, class: Simple})
@@ -145,7 +143,6 @@ func init() {
 	reg(pkgObject, "Object", "Lock", opEntry{kind: OpAcquire, class: Simple, isObject: true})
 	reg(pkgObject, "Object", "TryLock", opEntry{kind: OpTryAcquire, class: Simple, isObject: true})
 	reg(pkgObject, "Object", "Unlock", opEntry{kind: OpRelease, class: Simple, isObject: true})
-	reg(pkgObject, "Object", "Reference", opEntry{kind: OpRefTake, isObject: true})
 	reg(pkgObject, "Object", "TakeRef", opEntry{kind: OpRefTake, isObject: true})
 	reg(pkgObject, "Object", "Release", opEntry{kind: OpRefRelease, mayBlock: true, isObject: true})
 

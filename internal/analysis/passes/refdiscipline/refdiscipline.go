@@ -3,7 +3,7 @@
 //
 //  1. Reference to relock: a function that unlocks such an object and
 //     later locks it again must hold its own reference across the window
-//     (Reference/TakeRef/Clone before the unlock) or re-validate with
+//     (TakeRef/Clone before the unlock) or re-validate with
 //     Active/CheckActive after relocking — otherwise the object may have
 //     been deactivated and reused while unlocked.
 //  2. No caching across unlock/relock: a value loaded from the object's
@@ -172,7 +172,7 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 				if fromContainer[op.Root] && !refTaken[op.Root] {
 					delete(fromContainer, op.Root) // one report per variable
 					pass.Reportf(op.Call.Pos(),
-						"locking %s, which was taken from a shared container without a reference; Reference/TakeRef it first (the container's reference is not yours)",
+						"locking %s, which was taken from a shared container without a reference; TakeRef it first (the container's reference is not yours)",
 						op.Key)
 				}
 				if phase[op.Root] == stUnlocked {

@@ -28,7 +28,7 @@ func relockNoRef(t *task) {
 // A reference taken before the unlock covers the window.
 func relockWithRef(t *task) {
 	t.Lock()
-	t.Reference()
+	t.TakeRef()
 	t.Unlock()
 	t.Lock()
 	t.Unlock()

@@ -5,7 +5,6 @@ import (
 	"time"
 	"unsafe"
 
-	"machlock/internal/core/splock"
 	"machlock/internal/machsim/simhook"
 	"machlock/internal/sched"
 	"machlock/internal/trace"
@@ -73,12 +72,6 @@ type Options struct {
 	// option (parking is sleeping). Zero keeps the classic behaviour:
 	// sleepable locks block on the first round, others spin forever.
 	SpinPark int
-	// Interlock selects the algorithm guarding the lock's internal
-	// state (the paper's simple-lock interlock). The zero value is the
-	// default TASTTAS spin lock; Queue suits central locks whose
-	// interlock itself is a contention point (the IPC space lock). Any
-	// other policy is SimLock-only and panics, as splock.InitWith does.
-	Interlock splock.Policy
 }
 
 // NewWith creates a complex lock from Options.
@@ -96,9 +89,6 @@ func (l *Lock) InitWith(o Options) {
 	l.norecurse = !o.Recursive
 	l.name = o.Name
 	l.class = o.Class
-	if o.Interlock != splock.TASTTAS {
-		l.interlock.InitWith(splock.Opts{Algorithm: o.Interlock, Name: o.Name + ".interlock"})
-	}
 	if o.ReaderBias {
 		l.bias = newBiasTable()
 	}

@@ -60,13 +60,11 @@ func TestTracedHoldSharesOneStamp(t *testing.T) {
 	trace.Enable()
 	defer trace.Disable()
 
-	for _, p := range []splock.Policy{splock.TASTTAS, splock.Queue} {
-		c := trace.NewClass("cxlocktest", t.Name()+"-sp-"+p.String(), trace.KindSpin)
-		sp := splock.NewWith(splock.Opts{Algorithm: p, Class: c})
-		sp.Lock()
-		sp.Unlock()
-		checkOneStamp(t, "splock "+p.String(), c)
-	}
+	sc := trace.NewClass("cxlocktest", t.Name()+"-sp", trace.KindSpin)
+	sp := splock.NewWith(splock.Opts{Class: sc})
+	sp.Lock()
+	sp.Unlock()
+	checkOneStamp(t, "splock", sc)
 
 	c := trace.NewClass("cxlocktest", t.Name()+"-cx", trace.KindComplex)
 	l := NewWith(Options{Name: t.Name(), Class: c})

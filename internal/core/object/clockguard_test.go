@@ -18,7 +18,7 @@ func TestUntracedRefsReadNoClock(t *testing.T) {
 	before := trace.ClockReads()
 	o.TakeRef()
 	o.Lock()
-	o.Reference()
+	o.TakeRef()
 	o.Deactivate()
 	o.Unlock()
 	o.Release(nil)

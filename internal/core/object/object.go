@@ -136,14 +136,11 @@ func (o *Object) Deactivate() bool {
 	return true
 }
 
-// Reference clones a reference: one atomic increment, with or without the
-// object lock held (it never blocks, so it is safe while holding other
-// locks). The caller must hold a reference; cloning a dead count panics.
-func (o *Object) Reference() { o.refs.Clone() }
-
-// TakeRef clones a reference for translation code: one atomic increment,
-// no lock. The caller must already hold, or be covered by, a reference that
-// cannot be dropped mid-clone. Every translation path is covered so:
+// TakeRef clones a reference (Mach's object_reference): one atomic
+// increment, with or without the object lock held (it never blocks, so it
+// is safe while holding other locks). The caller must already hold, or be
+// covered by, a reference that cannot be dropped mid-clone; cloning a
+// dead count panics. Every translation path is covered so:
 // Space.Translate clones under the space lock, which pins the table's
 // reference, and Port.KObject clones under the port lock after checking
 // that the port is active, which pins the port's kobject reference. That

@@ -31,7 +31,7 @@ func TestInitCreatesActiveWithOneRef(t *testing.T) {
 func TestReferenceUnderLock(t *testing.T) {
 	o := newObj("x")
 	o.Lock()
-	o.Reference()
+	o.TakeRef()
 	if o.Refs() != 2 {
 		t.Fatalf("refs = %d, want 2", o.Refs())
 	}

@@ -10,19 +10,16 @@ import (
 )
 
 // TestUntracedPathReadsNoClock: with tracing off, a classed simple lock —
-// both production algorithms, and the checked variant — must not read the
-// trace clock.
+// plain and checked — must not read the trace clock.
 func TestUntracedPathReadsNoClock(t *testing.T) {
 	trace.Disable()
 	c := trace.NewClass("splocktest", t.Name(), trace.KindSpin)
 	before := trace.ClockReads()
-	for _, p := range []Policy{TASTTAS, Queue} {
-		l := NewWith(Opts{Algorithm: p, Class: c})
-		l.Lock()
+	l := NewWith(Opts{Class: c})
+	l.Lock()
+	l.Unlock()
+	if l.TryLock() {
 		l.Unlock()
-		if l.TryLock() {
-			l.Unlock()
-		}
 	}
 	ck := NewChecked(t.Name())
 	th := sched.New("t")
@@ -48,18 +45,16 @@ func TestTracedPairReadsClockOnlyWhenSampled(t *testing.T) {
 	trace.Enable()
 	defer trace.Disable()
 	trace.SetSampling(trace.DefaultSampleRate)
-	for _, p := range []Policy{TASTTAS, Queue} {
-		c := trace.NewClass("splocktest", t.Name()+"-"+p.String(), trace.KindSpin)
-		l := NewWith(Opts{Algorithm: p, Class: c})
-		checkPairReads(t, p.String(), func() { l.Lock(); l.Unlock() })
-		c = trace.NewClass("splocktest", t.Name()+"-"+p.String()+"-try", trace.KindSpin)
-		l = NewWith(Opts{Algorithm: p, Class: c})
-		checkPairReads(t, p.String()+" try", func() {
-			if l.TryLock() {
-				l.Unlock()
-			}
-		})
-	}
+	c := trace.NewClass("splocktest", t.Name(), trace.KindSpin)
+	l := NewWith(Opts{Class: c})
+	checkPairReads(t, "lock", func() { l.Lock(); l.Unlock() })
+	c = trace.NewClass("splocktest", t.Name()+"-try", trace.KindSpin)
+	l = NewWith(Opts{Class: c})
+	checkPairReads(t, "try", func() {
+		if l.TryLock() {
+			l.Unlock()
+		}
+	})
 }
 
 // checkPairReads runs pair 4N times: the first run must read the clock

@@ -9,11 +9,12 @@
 //     sequence is the paper's refined policy — one test-and-set attempt
 //     first, falling back to test-and-test-and-set spinning — because "most
 //     locks in a well designed system are acquired on the first attempt".
-//     The one alternative, an MCS queue lock (Opts{Algorithm: Queue}),
-//     serves the kernel's two central queue-lock customers.
+//     It is the only algorithm the host runs.
 //   - SimLock: the instrumented lock over a simulated hw.Cell, available in
 //     every acquisition policy so experiments E1 and E14 can count the
-//     interconnect traffic each generates.
+//     interconnect traffic each generates. The other policies (pure TAS
+//     and TTAS, test-and-clear, MCS queue, cohort, adaptive) are claims
+//     about that traffic, and only the coherence simulator can check them.
 //   - Noop: the uniprocessor variant. Mach declares simple locks through a
 //     macro precisely so they can be compiled out of uniprocessor kernels;
 //     Noop is that compile-out, usable anywhere a Mutex is.
@@ -22,9 +23,8 @@
 // debugging and statistics information" (Appendix A.1). The statistics
 // are a trace class: a Lock built with Opts{Class: ...} (or SetClass)
 // counts every acquisition, contended acquisition and release exactly,
-// times every contended wait and a 1-in-N sample of holds, all through
-// one acquisition funnel shared by both algorithms, and the class's
-// Snapshot reads them. The debugging is the Checked wrapper: holder
+// times every contended wait and a 1-in-N sample of holds, and the
+// class's Snapshot reads them. The debugging is the Checked wrapper: holder
 // tracking, double-acquire/release detection, and integration with
 // sched's you-may-not-block-holding-a-spin-lock rule.
 //
@@ -78,16 +78,38 @@ type Lock struct {
 	// trace.HoldInfo.
 	hold atomic.Pointer[trace.HoldInfo]
 
-	// algo is the MCS queue state of a Queue lock; nil — the zero value
-	// and what NewWith leaves for TASTTAS — keeps the refined-policy
-	// fast path above untouched. Immutable after InitWith, which must
-	// precede concurrent use.
-	algo *algoState
 	// name is an optional human label carried from Opts.Name.
 	name string
 }
 
 var _ Mutex = (*Lock)(nil)
+
+// Opts configures production simple-lock construction, mirroring
+// cxlock.Options. The zero value is a default lock: untraced, anonymous.
+type Opts struct {
+	// Class registers the lock with the observability layer (equivalent
+	// to SetClass).
+	Class *trace.Class
+	// Name is an optional human label, surfaced by Name().
+	Name string
+}
+
+// NewWith creates a production simple lock from options. A zero Opts is
+// exactly the zero-value Lock. This is the construction path the machlock
+// facade uses.
+func NewWith(o Opts) *Lock {
+	l := new(Lock)
+	l.InitWith(o)
+	return l
+}
+
+// InitWith initializes an embedded Lock from options, for locks living
+// inside larger structures (zones, vm objects). Must precede concurrent
+// use; reinitializing a held lock is a protocol violation.
+func (l *Lock) InitWith(o Opts) {
+	l.class = o.Class
+	l.name = o.Name
+}
 
 // SetClass registers the lock with the observability layer. Call before
 // the lock is in concurrent use (typically right after construction).
@@ -96,23 +118,11 @@ func (l *Lock) SetClass(c *trace.Class) { l.class = c }
 // Name returns the label given at construction; empty for anonymous locks.
 func (l *Lock) Name() string { return l.name }
 
-// Algorithm returns the lock's acquisition policy.
-func (l *Lock) Algorithm() Policy {
-	if l.algo == nil {
-		return TASTTAS
-	}
-	return Queue
-}
-
 // Lock acquires the lock, spinning until it is available (simple_lock).
 // The first attempt is an unconditional test-and-set; only if that fails
 // does the acquirer fall back to test-and-test-and-set spinning.
 func (l *Lock) Lock() {
 	simhook.Yield(simhook.SpLock, l)
-	if l.algo != nil {
-		l.algo.lock(l)
-		return
-	}
 	if atomic.CompareAndSwapInt32(&l.state, 0, 1) {
 		if l.class.On() && l.class.Acquire() {
 			l.beginHold(0, 0)
@@ -124,40 +134,27 @@ func (l *Lock) Lock() {
 }
 
 // spin is the contended TAS+TTAS acquisition: test until the lock looks
-// free, then test-and-set.
+// free, then test-and-set. With tracing on, the wait is timed from the
+// first failed test-and-set and blamed on the holder visible then: by the
+// time we win the lock the blame target has (by definition) released. A
+// class turned on mid-spin finds start == 0 and counts the acquisition
+// as an uncontended one.
 func (l *Lock) spin() {
-	start, blamed := l.tracedStart()
+	var start int64
+	var blamed *trace.HoldInfo
+	if l.class.On() {
+		blamed = l.hold.Load()
+		start = trace.Now()
+		l.class.WaitingAt(start, 0)
+		l.class.SpinStart()
+	}
 	for atomic.LoadInt32(&l.state) != 0 || !atomic.CompareAndSwapInt32(&l.state, 0, 1) {
-		spinYield(l)
+		if simhook.Enabled() {
+			simhook.Yield(simhook.SpSpin, l)
+		} else {
+			runtime.Gosched()
+		}
 	}
-	l.acquired(start, blamed)
-}
-
-// The acquisition funnel below is shared by both algorithms; start == 0
-// means the acquisition is untraced or did not wait.
-
-// tracedStart captures the wait-timing state the trace layer needs before
-// a contended wait: the trace-clock start (also the wait event's stamp)
-// and the holder pinned for blame, and it enters the class's spinners
-// gauge. start is 0 when tracing is off. Blame is pinned to the holder
-// visible when the spin began; by the time we win the lock the blame
-// target has (by definition) released.
-func (l *Lock) tracedStart() (start int64, blamed *trace.HoldInfo) {
-	if !l.class.On() {
-		return 0, nil
-	}
-	blamed = l.hold.Load()
-	start = trace.Now()
-	l.class.WaitingAt(start, 0)
-	l.class.SpinStart()
-	return start, blamed
-}
-
-// acquired finishes an acquisition that went through the slow path (a
-// contended TAS+TTAS spin, or any queue acquisition): it records it with
-// the trace layer and notes it to machsim. start and blamed are
-// tracedStart's, or 0 and nil for an acquisition that did not wait.
-func (l *Lock) acquired(start int64, blamed *trace.HoldInfo) {
 	if start != 0 {
 		l.waitedFor(start, blamed)
 	} else if l.class.On() && l.class.Acquire() {
@@ -235,10 +232,6 @@ func (l *Lock) Unlock() {
 	// schedules where a holder is preempted inside its critical section,
 	// which is exactly when waiters pile up on the interlock.
 	simhook.Yield(simhook.SpUnlock, l)
-	if l.algo != nil {
-		l.algo.unlock(l)
-		return
-	}
 	var at, now int64
 	var h *trace.HoldInfo
 	if l.acquiredAt != 0 { // tested here so an unstamped hold makes no call
@@ -261,9 +254,6 @@ func (l *Lock) TryLock() bool {
 	simhook.Yield(simhook.SpTry, l)
 	if simhook.ForceFail(simhook.SpTry, l) {
 		return false
-	}
-	if l.algo != nil {
-		return l.algo.tryLock(l)
 	}
 	if !atomic.CompareAndSwapInt32(&l.state, 0, 1) {
 		return false
@@ -298,10 +288,9 @@ func (Noop) Unlock() {}
 // TryLock always succeeds.
 func (Noop) TryLock() bool { return true }
 
-// Policy selects a spin-lock acquisition algorithm. SimLock (NewSimWith)
-// runs every policy; the production Lock (NewWith/InitWith) runs only
-// TASTTAS and Queue, the two the kernel builds. The zero value is TASTTAS,
-// the paper's refined policy and the default every zero-value Lock runs.
+// Policy selects a spin-lock acquisition algorithm of a SimLock
+// (NewSimWith), which runs every policy. The production Lock runs only
+// TASTTAS, the zero value: the paper's refined policy.
 type Policy int
 
 const (
@@ -334,7 +323,9 @@ const (
 	// flag in their own qnode. Handoff is explicit and FIFO; under
 	// contention each waiter's spinning stays in its own cache line, so
 	// the interconnect sees one transfer per handoff instead of a
-	// stampede per release (Mellor-Crummey & Scott).
+	// stampede per release (Mellor-Crummey & Scott). SimLock-only (E14):
+	// on the host, a FIFO handoff to a waiter that is not running costs
+	// more than the stampede it avoids.
 	Queue
 	// Cohort is a topology-aware composite: one global lock plus one
 	// local queue per processor cell (NUMA domain). A releasing holder

@@ -59,6 +59,25 @@ func (l *readerPrefLock) wunlock() {
 	l.mu.Unlock()
 }
 
+// writerWaitObserver raises waiting when the writer thread begins a wait
+// on lock: from then on its request is registered, and a reader admitted
+// is admitted past it.
+type writerWaitObserver struct {
+	lock    *cxlock.Lock
+	writer  atomic.Pointer[sched.Thread]
+	waiting *atomic.Bool
+}
+
+func (o *writerWaitObserver) Waiting(l *cxlock.Lock, t *sched.Thread) {
+	if l == o.lock && t == o.writer.Load() {
+		o.waiting.Store(true)
+	}
+}
+
+func (*writerWaitObserver) Acquired(*cxlock.Lock, *sched.Thread)    {}
+func (*writerWaitObserver) Released(*cxlock.Lock, *sched.Thread)    {}
+func (*writerWaitObserver) DoneWaiting(*cxlock.Lock, *sched.Thread) {}
+
 // runE3: a flood of readers against a single writer. With Mach's writer
 // priority ("readers may not be added to a lock held for reading in the
 // presence of an outstanding write request") the writer's acquisitions
@@ -101,9 +120,17 @@ func runE3(cfg Config) *Result {
 		}
 	}
 
-	// Mach complex lock (writer priority).
+	// Mach complex lock (writer priority). The flag is raised by the
+	// writer's first wait, which with one writer comes after want_write
+	// is registered: raising it before Write would count readers
+	// admitted, legitimately, while the writer was descheduled short of
+	// its request. What may remain counted is a reader admitted just
+	// before want_write whose check of the flag lands after the raise.
 	{
 		l := cxlock.NewWith(cxlock.Options{Sleep: true})
+		ob := &writerWaitObserver{lock: l, waiting: &writerWaiting}
+		cxlock.AddObserver(ob)
+		defer cxlock.RemoveObserver(ob)
 		writerWaiting.Store(false)
 		admittedPast.Store(0)
 		flooding.Store(0)
@@ -133,9 +160,9 @@ func runE3(cfg Config) *Result {
 		}
 		var max time.Duration
 		w := sched.Go("w", func(self *sched.Thread) {
+			ob.writer.Store(self)
 			awaitFlood()
 			for i := 0; i < writes; i++ {
-				writerWaiting.Store(true)
 				start := time.Now()
 				l.Write(self)
 				writerWaiting.Store(false)

@@ -47,8 +47,8 @@ func (ps *PortSet) Add(p *Port) error {
 		return ErrAlreadyMember
 	}
 	p.pset = ps
-	ps.Reference() // the port's set pointer
-	p.Reference()  // the set's member pointer
+	ps.TakeRef() // the port's set pointer
+	p.TakeRef()  // the set's member pointer
 	ps.members = append(ps.members, p)
 	p.Unlock()
 	ps.Unlock()

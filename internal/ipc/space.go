@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"machlock/internal/core/cxlock"
-	"machlock/internal/core/splock"
 	"machlock/internal/sched"
 	"machlock/internal/trace"
 )
@@ -46,10 +45,6 @@ func NewSpace() *Space {
 		ReaderBias: true, // translations dominate; see type comment
 		Name:       "ipc.space",
 		Class:      classSpace,
-		// The interlock is what a bias revocation drain serializes on
-		// (one writer, every slow-path reader); the queue algorithm keeps
-		// that drain FIFO instead of a TTAS scramble.
-		Interlock: splock.Queue,
 	})
 	return s
 }

@@ -159,8 +159,8 @@ func (t *Task) CreateThread(name string) (*Thread, error) {
 		th.Release(nil)       // creator reference; destroys the shell
 		return nil, ErrTerminated
 	}
-	t.Reference() // the thread's task pointer
-	th.TakeRef()  // the task's thread-list pointer
+	t.TakeRef()  // the thread's task pointer
+	th.TakeRef() // the task's thread-list pointer
 	t.threads = append(t.threads, th)
 	t.Unlock()
 

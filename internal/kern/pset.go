@@ -135,7 +135,7 @@ func (h *Host) NewSet(name string) *ProcessorSet { return h.newSet(name, false) 
 // construction-time single-threaded.
 func (h *Host) attach(p *Processor, set *ProcessorSet) {
 	set.Lock()
-	set.Reference() // the processor's set pointer
+	set.TakeRef() // the processor's set pointer
 	set.Unlock()
 	// The members write lock may sleep, so it is taken after the object
 	// lock is dropped; the assignment lock (or construction) already
@@ -145,7 +145,7 @@ func (h *Host) attach(p *Processor, set *ProcessorSet) {
 	set.members.Done(nil)
 	p.Lock()
 	p.set = set
-	p.Reference() // the set's member pointer to the processor
+	p.TakeRef() // the set's member pointer to the processor
 	p.Unlock()
 }
 
@@ -175,12 +175,12 @@ func (h *Host) assignProcessorLocked(p *Processor, s *ProcessorSet) error {
 		s.Unlock()
 		return err
 	}
-	s.Reference() // p's set pointer
+	s.TakeRef() // p's set pointer
 	s.Unlock()
 
 	p.Lock()
 	old := p.set
-	p.Reference() // migration reference: covers p across the blocking section
+	p.TakeRef() // migration reference: covers p across the blocking section
 	p.Unlock()
 	if old == s {
 		p.Release(nil) // the migration reference
@@ -209,7 +209,7 @@ func (h *Host) assignProcessorLocked(p *Processor, s *ProcessorSet) error {
 	p.Lock()
 	old = p.set // re-read under the relock, per the no-caching rule
 	p.set = s
-	p.Reference() // s's member pointer to p
+	p.TakeRef() // s's member pointer to p
 	p.Unlock()
 	old.Release(nil) // p's reference to the old set
 	p.Release(nil)   // the migration reference

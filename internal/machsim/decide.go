@@ -94,10 +94,9 @@ type dfsBranch struct {
 // dfsDecider drives the bounded-preemption depth-first search. Each run
 // replays a forced prefix, and at the frontier takes defaults while
 // pushing every affordable alternative onto the stack for later runs.
-// With a Reduction set it additionally maintains sleep sets (and
-// optionally a persistent-set restriction) over the candidates' pending
-// operations; see por.go for the independence relation and the soundness
-// argument.
+// With ReduceSleep it additionally maintains sleep sets over the
+// candidates' pending operations; see por.go for the independence
+// relation and the soundness argument.
 type dfsDecider struct {
 	budget int
 	reduce Reduction
@@ -204,10 +203,6 @@ func (d *dfsDecider) chooseReduced(s *Sim, cands []candidate) int {
 	if !cands[cont].inject {
 		contOp = pendingOf(cands[cont].vt)
 	}
-	var pset map[int]bool
-	if d.reduce == ReducePersistent {
-		pset = persistentSet(s, cands, cont)
-	}
 	// Push alternatives in candidate order. Following Godefroid's DFS
 	// formulation, the sleep set handed to alternative t is the current
 	// set plus the siblings explored before t, filtered to the entries
@@ -229,9 +224,6 @@ func (d *dfsDecider) chooseReduced(s *Sim, cands []candidate) int {
 		}
 		if d.preempts+c.cost > d.budget {
 			continue
-		}
-		if pset != nil && !c.inject && !pset[c.vt.idx] {
-			continue // persistent-set restriction (heuristic mode)
 		}
 		var altSleep []int
 		if !c.inject {

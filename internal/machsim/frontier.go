@@ -38,7 +38,7 @@ type Frontier struct {
 	Scenario string `json:"scenario"` // label, e.g. "scenarios/pageable"
 
 	Preemptions     int    `json:"preemptions"`
-	Reduction       string `json:"reduction"` // "none", "sleep", "persistent"
+	Reduction       string `json:"reduction"` // "none", "sleep"
 	MaxSteps        int    `json:"max_steps"`
 	FaultTries      bool   `json:"fault_tries,omitempty"`
 	SpuriousWakeups bool   `json:"spurious_wakeups,omitempty"`

@@ -33,17 +33,10 @@ func newModels(s *Sim) *models {
 	}
 }
 
-// spModel shadows one simple lock. For queue-based algorithms the model
-// also tracks arrival order (from SpEnqueued notes) and the in-transit
-// window between a holder's SpHandoff and the successor's SpAcquired, so
-// it can check FIFO handoff: an acquirer that is queued but not at the
-// head jumped the queue. Locks that emit no SpEnqueued (the default
-// TAS+TTAS lock) get the plain mutual-exclusion check.
+// spModel shadows one simple lock.
 type spModel struct {
-	held    bool
-	owner   *vthread
-	transit bool       // handed off, successor not yet observed the grant
-	fifo    []*vthread // queued waiters in arrival order
+	held  bool
+	owner *vthread
 }
 
 // cxModel shadows one complex lock.
@@ -127,43 +120,20 @@ func (md *models) fail(checker, format string, args ...any) {
 func (md *models) note(a *vthread, p simhook.Point, obj any, n int64) {
 	name := func() string { return md.s.nameOf(obj) }
 	switch p {
-	// ---- simple locks: mutual exclusion, FIFO handoff ----
+	// ---- simple locks: mutual exclusion ----
 	case simhook.SpAcquired:
 		m := md.spOf(obj)
-		if m.held && !m.transit {
+		if m.held {
 			md.fail("mutual-exclusion",
 				"simple lock %s acquired by %s while held by %s", name(), a.name, m.owner.name)
 		}
-		if len(m.fifo) > 0 {
-			if m.fifo[0] == a {
-				m.fifo = m.fifo[1:]
-			} else {
-				for _, w := range m.fifo {
-					if w == a {
-						md.fail("fifo-handoff",
-							"queue lock %s acquired by %s ahead of earlier waiter %s",
-							name(), a.name, m.fifo[0].name)
-						break
-					}
-				}
-			}
-		}
-		m.held, m.owner, m.transit = true, a, false
-	case simhook.SpEnqueued:
-		md.spOf(obj).fifo = append(md.spOf(obj).fifo, a)
-	case simhook.SpHandoff:
-		m := md.spOf(obj)
-		if !m.held || m.owner != a {
-			md.fail("protocol",
-				"simple lock %s handed off by %s, which does not hold it", name(), a.name)
-		}
-		m.owner, m.transit = nil, true
+		m.held, m.owner = true, a
 	case simhook.SpReleased:
 		m := md.spOf(obj)
 		if !m.held {
 			md.fail("protocol", "simple lock %s released by %s while not held", name(), a.name)
 		}
-		m.held, m.owner, m.transit = false, nil, false
+		m.held, m.owner = false, nil
 
 	// ---- complex locks: mutual exclusion, writer priority, bias safety ----
 	case simhook.CxReadGrant:

@@ -8,10 +8,9 @@ import (
 )
 
 // This file is the partial-order-reduction layer of the Explore engine:
-// sleep sets (Godefroid) and a persistent-set heuristic computed over the
-// simhook event vocabulary, so the same Exhausted guarantee covers
-// subsystem-sized scenarios whose unreduced schedule space is out of
-// reach.
+// sleep sets (Godefroid) computed over the simhook event vocabulary, so
+// the same Exhausted guarantee covers subsystem-sized scenarios whose
+// unreduced schedule space is out of reach.
 //
 // THE INDEPENDENCE RELATION. A "step" is everything a virtual thread
 // executes between two scheduling points. Its memory footprint is
@@ -20,10 +19,10 @@ import (
 // because the substrate's instrumentation brackets every shared-state
 // transition with yields on the owning object:
 //
-//   - splock steps (SpLock/SpSpin/SpTry/SpUnlock) touch the lock
-//     word, the queue nodes of that lock, and — in the step that runs
-//     the caller's critical section — data protected by that lock. Two
-//     steps on different lock objects commute.
+//   - splock steps (SpLock/SpSpin/SpTry/SpUnlock) touch the lock word
+//     and — in the step that runs the caller's critical section — data
+//     protected by that lock. Two steps on different lock objects
+//     commute.
 //   - cxlock entry yields (CxRead/CxWrite/...) open empty steps: the very
 //     next action is the interlock acquisition, which is an instrumented
 //     splock with its own yields, so every access to the cx state machine
@@ -73,23 +72,13 @@ const (
 	// is skipped. Sound under the independence relation above; prunes
 	// nothing a violation could hide in.
 	ReduceSleep
-	// ReducePersistent adds a persistent-set restriction on top of sleep
-	// sets: at each decision only the conflict-closure of the default
-	// choice (computed over the candidates' pending operations) spawns
-	// alternatives. This is a HEURISTIC, not a proof: with only one
-	// pending operation of lookahead per thread, a thread whose next step
-	// is independent but whose later steps conflict can be delayed past a
-	// conflict the theory requires exploring. Use it for bug hunting at
-	// scale; use ReduceSleep for Exhausted claims. CrossCheck validates
-	// both against the unreduced search.
-	ReducePersistent
 )
 
 var reductionNames = map[Reduction]string{
-	ReduceNone: "none", ReduceSleep: "sleep", ReducePersistent: "persistent",
+	ReduceNone: "none", ReduceSleep: "sleep",
 }
 
-// String implements fmt.Stringer ("none", "sleep", "persistent").
+// String implements fmt.Stringer ("none", "sleep").
 func (r Reduction) String() string {
 	if s, ok := reductionNames[r]; ok {
 		return s
@@ -164,43 +153,6 @@ func independentOps(a, b opRef) bool {
 	return a.obj != b.obj
 }
 
-// persistentSet computes the conflict closure of the chosen candidate over
-// the decision's runnable candidates: start from the continuation and add
-// every candidate whose pending step is dependent with (or unknown to) a
-// member, to a fixpoint. Injection candidates are never restricted.
-func persistentSet(s *Sim, cands []candidate, cont int) map[int]bool {
-	if cands[cont].inject {
-		return nil
-	}
-	P := map[int]bool{cands[cont].vt.idx: true}
-	for changed := true; changed; {
-		changed = false
-		for _, c := range cands {
-			if c.inject || P[c.vt.idx] {
-				continue
-			}
-			op := pendingOf(c.vt)
-			dep := op.cat == opUnknown
-			if !dep {
-				for _, q := range cands {
-					if q.inject || !P[q.vt.idx] || q.vt.idx == c.vt.idx {
-						continue
-					}
-					if !independentOps(op, pendingOf(q.vt)) {
-						dep = true
-						break
-					}
-				}
-			}
-			if dep {
-				P[c.vt.idx] = true
-				changed = true
-			}
-		}
-	}
-	return P
-}
-
 // filterSleep keeps the threads of idxs whose pending step is independent
 // with op, sorted (sleep sets are order-free; sorting keeps schedules and
 // frontier files byte-stable).
@@ -220,38 +172,35 @@ func filterSleep(s *Sim, idxs []int, op opRef) []int {
 	return out
 }
 
-// CrossCheck runs the same bounded exploration three times — unreduced,
-// with sleep sets, and with persistent sets — and compares outcomes. It
-// returns the unreduced result plus a list of disagreements: a reduction
-// that reports a different set of violated checkers, loses an Exhausted
-// verdict the unreduced search established, or somehow runs MORE schedules
-// than the search it is meant to prune. An empty list is the empirical
-// soundness check the POR layer ships with.
+// CrossCheck runs the same bounded exploration twice — unreduced and with
+// sleep sets — and compares outcomes. It returns the unreduced result
+// plus a list of disagreements: a reduced search that reports a different
+// set of violated checkers, loses an Exhausted verdict the unreduced
+// search established, or somehow runs MORE schedules than the search it
+// is meant to prune. An empty list is the empirical soundness check the
+// POR layer ships with.
 func CrossCheck(scenario Scenario, cfg DFSConfig, opt Options) (Result, []string) {
 	base := cfg
 	base.Reduction = ReduceNone
 	r0 := Explore(scenario, base, opt)
-	sig0 := checkerSignature(r0)
+	c := cfg
+	c.Reduction = ReduceSleep
+	r := Explore(scenario, c, opt)
 	var mismatches []string
-	for _, red := range []Reduction{ReduceSleep, ReducePersistent} {
-		c := cfg
-		c.Reduction = red
-		r := Explore(scenario, c, opt)
-		if sig := checkerSignature(r); sig != sig0 {
-			mismatches = append(mismatches, fmt.Sprintf(
-				"%s: violation sets differ: unreduced=%q reduced=%q (reduced schedule: %s)",
-				red, sig0, sig, r.Schedule))
-		}
-		if r0.Exhausted && !r.Exhausted {
-			mismatches = append(mismatches, fmt.Sprintf(
-				"%s: unreduced search exhausted the space but the reduced search did not (%s)",
-				red, r.Summary()))
-		}
-		if r.Runs > r0.Runs {
-			mismatches = append(mismatches, fmt.Sprintf(
-				"%s: reduction ran more schedules than the unreduced search (%d > %d)",
-				red, r.Runs, r0.Runs))
-		}
+	if sig0, sig := checkerSignature(r0), checkerSignature(r); sig != sig0 {
+		mismatches = append(mismatches, fmt.Sprintf(
+			"violation sets differ: unreduced=%q sleep=%q (sleep schedule: %s)",
+			sig0, sig, r.Schedule))
+	}
+	if r0.Exhausted && !r.Exhausted {
+		mismatches = append(mismatches, fmt.Sprintf(
+			"unreduced search exhausted the space but the sleep-set search did not (%s)",
+			r.Summary()))
+	}
+	if r.Runs > r0.Runs {
+		mismatches = append(mismatches, fmt.Sprintf(
+			"sleep sets ran more schedules than the unreduced search (%d > %d)",
+			r.Runs, r0.Runs))
 	}
 	return r0, mismatches
 }

@@ -69,17 +69,9 @@ func TestSimPORReduction(t *testing.T) {
 		t.Fatalf("expected at least 5x schedule reduction: unreduced=%d reduced=%d",
 			unreduced.Runs, reduced.Runs)
 	}
-
-	persistent := Explore(sc, DFSConfig{Preemptions: preemptions, Reduction: ReducePersistent}, Options{})
-	Check(t, persistent)
-	t.Logf("S2: persistent %d runs / %d steps (%d pruned)", persistent.Runs, persistent.Steps, persistent.Pruned)
-	if persistent.Runs > reduced.Runs {
-		t.Fatalf("persistent sets ran more schedules than sleep sets alone: %d > %d",
-			persistent.Runs, reduced.Runs)
-	}
 }
 
-// TestSimPORCrossCheckClean: reduced and unreduced searches must agree on
+// TestSimPORCrossCheckClean: sleep-set and unreduced searches must agree on
 // the existing protocol suites' verdicts. Clean scenarios stay clean and
 // keep their Exhausted proof.
 func TestSimPORCrossCheckClean(t *testing.T) {
@@ -122,7 +114,7 @@ func TestSimPORCrossCheckClean(t *testing.T) {
 	}
 }
 
-// TestSimPORCrossCheckBuggy: on scenarios with planted bugs the reductions
+// TestSimPORCrossCheckBuggy: on scenarios with planted bugs sleep sets
 // must find the SAME violated properties as the unreduced search — a
 // reduction that prunes away the only schedule reaching a bug is unsound.
 func TestSimPORCrossCheckBuggy(t *testing.T) {
@@ -153,7 +145,7 @@ func TestSimPORPrunesRedundantRuns(t *testing.T) {
 // TestSimReductionRoundTrip: Reduction values survive String/ParseReduction
 // (the frontier file's representation).
 func TestSimReductionRoundTrip(t *testing.T) {
-	for _, r := range []Reduction{ReduceNone, ReduceSleep, ReducePersistent} {
+	for _, r := range []Reduction{ReduceNone, ReduceSleep} {
 		got, err := ParseReduction(r.String())
 		if err != nil || got != r {
 			t.Fatalf("round trip of %v: got %v, err %v", r, got, err)

@@ -49,8 +49,6 @@ const (
 	SpTry      // Yield: entry to TryLock
 	SpAcquired // Note: the test-and-set succeeded
 	SpReleased // Note: the release store happened
-	SpEnqueued // Note: queue-lock waiter appended its qnode (n = ticket)
-	SpHandoff  // Note: queue-lock holder handed the lock to its successor
 
 	// cxlock boundaries. The *Enter points are scheduling points outside
 	// the interlock; the *Grant/Want/Release points are Notes emitted
@@ -109,7 +107,6 @@ const (
 var pointNames = map[Point]string{
 	SpLock: "sp.lock", SpSpin: "sp.spin", SpUnlock: "sp.unlock",
 	SpTry: "sp.try", SpAcquired: "sp.acquired", SpReleased: "sp.released",
-	SpEnqueued: "sp.enqueued", SpHandoff: "sp.handoff",
 	CxRead: "cx.read", CxWrite: "cx.write", CxDone: "cx.done",
 	CxTryRead: "cx.tryread", CxTryWrite: "cx.trywrite",
 	CxUpgrade: "cx.upgrade", CxTryUpgrade: "cx.tryupgrade",

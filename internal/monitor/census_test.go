@@ -74,37 +74,35 @@ func TestSpinCensusReadsClasses(t *testing.T) {
 	startMonitor(t, m)
 	const waiters = 3
 	for i, kind := range []trace.Kind{trace.KindSpin, trace.KindObject} {
-		for _, p := range []splock.Policy{splock.TASTTAS, splock.Queue} {
-			c := trace.NewClass("montest", fmt.Sprintf("%s-%d-%v", t.Name(), i, p), kind)
-			l := splock.NewWith(splock.Opts{Algorithm: p, Class: c})
-			l.Lock()
-			var wg sync.WaitGroup
-			for w := 0; w < waiters; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for j := 0; j < 50; j++ {
-						l.Lock()
-						l.Unlock()
-					}
-				}()
-			}
-			deadline := time.Now().Add(10 * time.Second)
-			for c.Spinners() != waiters {
-				if time.Now().After(deadline) {
-					t.Fatalf("%v: %d spinners, want %d", p, c.Spinners(), waiters)
+		c := trace.NewClass("montest", fmt.Sprintf("%s-%d", t.Name(), i), kind)
+		l := splock.NewWith(splock.Opts{Class: c})
+		l.Lock()
+		var wg sync.WaitGroup
+		for w := 0; w < waiters; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < 50; j++ {
+					l.Lock()
+					l.Unlock()
 				}
-				time.Sleep(100 * time.Microsecond)
+			}()
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for c.Spinners() != waiters {
+			if time.Now().After(deadline) {
+				t.Fatalf("%v: %d spinners, want %d", kind, c.Spinners(), waiters)
 			}
-			if vals, _ := scrapeCensus(t, m); vals["machlock_monitor_splock_spinners"] < waiters {
-				t.Fatalf("%v: scrape shows %d spinners during a pile-up of %d",
-					p, vals["machlock_monitor_splock_spinners"], waiters)
-			}
-			l.Unlock()
-			wg.Wait()
-			if got := c.Snapshot().Contended; got < waiters {
-				t.Fatalf("%v: class counted %d contended acquisitions, want >= %d", p, got, waiters)
-			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		if vals, _ := scrapeCensus(t, m); vals["machlock_monitor_splock_spinners"] < waiters {
+			t.Fatalf("%v: scrape shows %d spinners during a pile-up of %d",
+				kind, vals["machlock_monitor_splock_spinners"], waiters)
+		}
+		l.Unlock()
+		wg.Wait()
+		if got := c.Snapshot().Contended; got < waiters {
+			t.Fatalf("%v: class counted %d contended acquisitions, want >= %d", kind, got, waiters)
 		}
 	}
 
@@ -121,7 +119,7 @@ func TestSpinCensusReadsClasses(t *testing.T) {
 	if vals["machlock_monitor_splock_spinners"] != 0 {
 		t.Errorf("spinners gauge = %d after every waiter got through", vals["machlock_monitor_splock_spinners"])
 	}
-	if vals["machlock_monitor_splock_contended_total"] < 4*waiters {
+	if vals["machlock_monitor_splock_contended_total"] < 2*waiters {
 		t.Errorf("contended total %d misses the pile-ups", vals["machlock_monitor_splock_contended_total"])
 	}
 }

@@ -57,13 +57,9 @@ type PagePool struct {
 }
 
 // NewPool creates a pool of npages physical pages numbered 0..npages-1.
-// The pool lock is the kernel's single hottest simple lock — every fault
-// and every teardown goes through it from every processor — so it uses
-// the queue algorithm from the arsenal: constant interconnect traffic and
-// FIFO handoff instead of a TTAS stampede per release.
 func NewPool(npages int) *PagePool {
 	p := &PagePool{total: npages}
-	p.lock.InitWith(splock.Opts{Algorithm: splock.Queue, Name: "vm.pagepool"})
+	p.lock.InitWith(splock.Opts{Name: "vm.pagepool"})
 	p.free = make([]uint64, npages)
 	for i := range p.free {
 		p.free[i] = uint64(i)

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"machlock/internal/ipc"
 	"machlock/internal/sched"
@@ -78,44 +79,74 @@ func TestPoolWaitWhenPagesAvailableReturnsImmediately(t *testing.T) {
 	}
 }
 
+// TestObjectDualCounts: a fault that misses holds the object's paging
+// count across its fill, and that count is the lock half of Section 8's
+// hybrid: the last release waits for it to drain, and while it waits the
+// object is terminating, so a new fault is refused instead of starting
+// another paging operation. Through the map alone the entry's reference
+// outlives every fault, so the test drops that reference itself, as a
+// teardown that bypasses the map would.
 func TestObjectDualCounts(t *testing.T) {
 	pool := NewPool(8)
+	m := NewMap(pool)
 	o := NewObject(pool, 4)
-	if err := o.PagingBegin(); err != nil {
+	th := sched.New("t")
+	if err := m.Allocate(th, 0, 4, o, 0); err != nil {
 		t.Fatal(err)
 	}
-	if o.PagingInProgress() != 1 {
-		t.Fatalf("paging = %d", o.PagingInProgress())
+	o.Release(th) // the creator's reference; the entry's remains
+	filling, fill := make(chan struct{}), make(chan struct{})
+	m.SetFetcher(func(*sched.Thread, *Object, uint64) []byte {
+		close(filling)
+		<-fill
+		return nil
+	})
+	var faultErr error
+	faulter := sched.Go("fault", func(self *sched.Thread) { faultErr = m.Fault(self, 0, false) })
+	<-filling
+	if n := o.PagingInProgress(); n != 1 {
+		t.Fatalf("paging = %d during a fill, want 1", n)
 	}
-	// Termination (last release) must wait for the paging count.
+	// Termination (the last release) must wait for the fill.
 	released := make(chan struct{})
 	rel := sched.Go("rel", func(self *sched.Thread) {
 		o.Release(self)
 		close(released)
 	})
-	select {
-	case <-released:
-		t.Fatal("termination completed while paging in progress")
-	case <-time.After(50 * time.Millisecond):
-	}
-	// New paging operations are excluded during termination.
 	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if err := o.PagingBegin(); err != nil {
-			if !errors.Is(err, ErrTerminating) {
-				t.Fatalf("PagingBegin = %v", err)
-			}
-			break
-		}
-		// Terminator hasn't set the flag yet; undo and retry.
-		o.PagingEnd()
+	for rel.Blocks() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("terminating flag never observed")
+			t.Fatal("terminator never blocked on the paging count")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	o.PagingEnd() // drain: termination proceeds
-	join(t, "terminator", rel)
+	select {
+	case <-released:
+		t.Fatal("termination completed while paging in progress")
+	default:
+	}
+	// New paging operations are excluded during termination.
+	if err := m.Fault(th, 1, false); !errors.Is(err, ErrTerminating) {
+		t.Fatalf("fault on a terminating object = %v, want ErrTerminating", err)
+	}
+	close(fill) // drain: termination proceeds
+	join(t, "faulter and terminator", faulter, rel)
+	if faultErr != nil {
+		t.Fatalf("the fill's fault = %v", faultErr)
+	}
+	if n := pool.FreeCount(); n != pool.Total() {
+		t.Fatalf("%d of %d pages free after termination", n, pool.Total())
+	}
+}
+
+// TestObjectSizeIsWholeCacheLines pins the pad in Object: a size that is
+// not a multiple of the 64-byte line puts neighbouring objects' lock
+// words, which every resident fault writes, on shared lines.
+func TestObjectSizeIsWholeCacheLines(t *testing.T) {
+	var o Object
+	if n := unsafe.Sizeof(o); n%64 != 0 {
+		t.Fatalf("unsafe.Sizeof(vm.Object{}) = %d, not a multiple of 64", n)
+	}
 }
 
 func TestObjectReleaseFreesPages(t *testing.T) {

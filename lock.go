@@ -37,61 +37,10 @@ type RWLocker interface {
 
 var _ RWLocker = (*ComplexLock)(nil)
 
-// Algorithm selects the acquisition algorithm of a simple lock — or, for
-// a complex lock, of the interlock guarding its internal state. The
-// production catalog (DESIGN §13):
-//
-//	Default   the paper's hybrid: one test-and-set, then test-then-set
-//	          spinning. Unbeatable uncontended; degrades under load.
-//	Queue     MCS queue lock: each waiter spins on its own cache line
-//	          and the holder hands off to the first in line. FIFO-fair,
-//	          constant interconnect traffic at any thread count.
-//
-// The other spin policies the paper and its successors discuss (pure
-// TAS and TTAS, test-and-clear, cohort, adaptive spin-then-park) are
-// claims about interconnect traffic; they run on the coherence
-// simulator only (splock.NewSimWith, experiments E1 and E14).
-type Algorithm int
-
-const (
-	// Default is the zero value: the TAS/TTAS hybrid of Appendix A.
-	Default Algorithm = iota
-	// Queue is the MCS queue lock.
-	Queue
-)
-
-// String names the algorithm as used in reports and bench labels.
-func (a Algorithm) String() string {
-	switch a {
-	case Default:
-		return "default"
-	case Queue:
-		return "queue"
-	}
-	return "unknown"
-}
-
-// policy maps the facade enum to the splock policy it configures.
-func (a Algorithm) policy() splock.Policy {
-	switch a {
-	case Default:
-		return splock.TASTTAS
-	case Queue:
-		return splock.Queue
-	}
-	panic("machlock: unknown Algorithm")
-}
-
-// Algorithms lists every selectable Algorithm, in catalog order; bench
-// sweeps range over it.
-func Algorithms() []Algorithm {
-	return []Algorithm{Default, Queue}
-}
-
 // config is the merged option sink: one With… list configures either lock
 // shape. Simple-lock options land in sp, complex-lock options in cx, and
-// shared options (name, class, algorithm) in both; NewLock and
-// NewSimpleLock each read only their half.
+// shared options (name, class) in both; NewLock and NewSimpleLock each
+// read only their half.
 type config struct {
 	cx cxlock.Options
 	sp splock.Opts
@@ -130,27 +79,14 @@ func WithName(name string) Option {
 }
 
 // WithClass attaches the lock to a trace observability class; all locks
-// sharing a class aggregate into one contention-profile row, and the
-// queue lock's wait/handoff accounting flows into the same blame
-// machinery as the default lock's. A named class is a lock's statistics
-// (Appendix A.1's "structure to allow the simple addition of debugging
-// and statistics information"): with tracing enabled, its Snapshot
-// counts every acquisition, contended acquisition and release exactly
-// and times every wait and a 1-in-N sample of holds.
+// sharing a class aggregate into one contention-profile row. A named
+// class is a lock's statistics (Appendix A.1's "structure to allow the
+// simple addition of debugging and statistics information"): with
+// tracing enabled, its Snapshot counts every acquisition, contended
+// acquisition and release exactly and times every wait and a 1-in-N
+// sample of holds.
 func WithClass(cl *TraceClass) Option {
 	return func(c *config) { c.cx.Class, c.sp.Class = cl, cl }
-}
-
-// WithAlgorithm selects the acquisition algorithm. On a simple lock it
-// replaces the spin protocol itself; on a complex lock it replaces the
-// interlock's, which matters only for central complex locks whose
-// interlock is itself a contention point.
-func WithAlgorithm(a Algorithm) Option {
-	return func(c *config) {
-		p := a.policy()
-		c.sp.Algorithm = p
-		c.cx.Interlock = p
-	}
 }
 
 // WithSpinThenPark sets the spin-then-park budget: waiters spin for
@@ -177,12 +113,12 @@ func NewLock(opts ...Option) *ComplexLock {
 
 // NewSimpleLock builds a simple lock from options:
 //
-//	l := machlock.NewSimpleLock(machlock.WithAlgorithm(machlock.Queue),
-//		machlock.WithName("ipc.port"))
+//	l := machlock.NewSimpleLock(machlock.WithName("ipc.port"))
 //
-// Options that only apply to complex locks (sleep, recursion, reader
-// bias) are ignored. The zero value of SimpleLock remains a valid
-// default-algorithm lock.
+// Its one algorithm is the paper's: a test-and-set, then
+// test-and-test-and-set spinning. Options that only apply to complex
+// locks (sleep, recursion, reader bias) are ignored. The zero value of
+// SimpleLock remains a valid lock.
 func NewSimpleLock(opts ...Option) *SimpleLock {
 	var c config
 	for _, opt := range opts {

@@ -120,7 +120,7 @@ func BenchmarkUncontendedObjectLockRef(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o.Lock()
-		o.Reference()
+		o.TakeRef()
 		o.Unlock()
 		o.Release(nil)
 	}
@@ -136,7 +136,7 @@ func BenchmarkUncontendedObjectLockRefClassed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o.Lock()
-		o.Reference()
+		o.TakeRef()
 		o.Unlock()
 		o.Release(nil)
 	}
@@ -157,23 +157,11 @@ func BenchmarkUncontendedZone(b *testing.B) {
 	}
 }
 
-// BenchmarkUncontendedQueue: the queue lock's uncontended cycle (one
-// swap + one CAS), beside BenchmarkUncontendedSpin's default path, whose
-// dispatch checks one nil pointer for it.
-func BenchmarkUncontendedQueue(b *testing.B) {
-	l := splock.NewWith(splock.Opts{Algorithm: splock.Queue})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Lock()
-		l.Unlock()
-	}
-}
-
 // BenchmarkUncontendedFacade: the full option path — NewSimpleLock with
-// an algorithm — cycled once per construction amortized away; measures
-// that the facade adds nothing per acquisition over the direct lock.
+// a name — cycled once per construction amortized away; measures that
+// the facade adds nothing per acquisition over the direct lock.
 func BenchmarkUncontendedFacade(b *testing.B) {
-	l := machlock.NewSimpleLock(machlock.WithAlgorithm(machlock.Queue))
+	l := machlock.NewSimpleLock(machlock.WithName("bench.facade"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.Lock()
