@@ -54,7 +54,7 @@ sim:
 		-coverprofile=sim-coverage.out \
 		-coverpkg=./internal/... \
 		./internal/machsim/ ./internal/machsim/scenarios/ ./internal/core/... \
-		./internal/kern/ ./internal/sched/ ./internal/pmap/ ./internal/ipc/
+		./internal/kern/ ./internal/sched/ ./internal/pmap/ ./internal/ipc/ ./internal/vm/
 
 # Seed-corpus pass over every fuzz target: the machsim ones (cxlock option
 # combos, refcount clone/release sequences, engine-found replay schedules)

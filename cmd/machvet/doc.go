@@ -89,8 +89,8 @@
 //
 // A finding that documents intentional protocol is suppressed in place:
 //
-//	//machvet:allow holdblock — refcount under own lock is the object protocol
-//	o.refs.Release()
+//	//machvet:allow lockorder — reverse pv→pmap order is arbitrated by the class lock (Section 5)
+//	e.pm.lock.Lock()
 //
 // The annotation names one or more passes and covers its own line (as a
 // trailing comment) or the line below (as a whole-line comment). A lock

@@ -74,10 +74,10 @@ type Op struct {
 	Kind  OpKind
 	Class LockClass
 	// Key identifies the lock instance within the enclosing function: the
-	// canonical rendering of the receiver expression ("m.refLock", "p").
+	// canonical rendering of the receiver expression ("m.lock", "p").
 	Key string
 	// ClassKey identifies the lock's type-level class for cross-function
-	// order graphs ("vm.Map.refLock", "ipc.Port"); see ClassKeyOf.
+	// order graphs ("vm.Map.lock", "ipc.Port"); see ClassKeyOf.
 	ClassKey string
 	// Root is the base variable of the receiver expression, if it is one.
 	Root types.Object
@@ -330,7 +330,7 @@ func BlockingCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 func ExprKey(e ast.Expr) string { return types.ExprString(ast.Unparen(e)) }
 
 // RootObject returns the variable at the base of a selector chain
-// ("m.refLock" -> m), or nil.
+// ("m.lock" -> m), or nil.
 func RootObject(info *types.Info, e ast.Expr) types.Object {
 	for {
 		switch x := ast.Unparen(e).(type) {
@@ -387,8 +387,8 @@ func isLockTypeName(name string) bool {
 // ClassKeyOf derives the type-level ordering class of a lock receiver
 // expression:
 //
-//   - a field of a named container type anchors there: m.refLock on
-//     *vm.Map -> "vm.Map.refLock";
+//   - a field of a named container type anchors there: m.lock on
+//     *vm.Map -> "vm.Map.lock";
 //   - a bare variable of a non-lock named type (an object.Object
 //     embedder) is classed by its type: p *ipc.Port -> "ipc.Port";
 //   - a package-level lock variable is classed by name: "pkg.GlobalLock";

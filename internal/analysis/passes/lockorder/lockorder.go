@@ -7,7 +7,7 @@
 //     caught statically.
 //  2. Against the rest of the program: every nested acquisition records
 //     a directed edge between the two locks' type-level classes
-//     ("vm.Map.refLock" -> "vm.Object.lock"); an edge whose reverse was
+//     ("vm.Map.lock" -> "vm.Object.lock"); an edge whose reverse was
 //     recorded anywhere else — earlier in this package or in any
 //     dependency, via package facts — is an inconsistency, reported with
 //     both sites.

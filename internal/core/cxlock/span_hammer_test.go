@@ -31,6 +31,9 @@ func TestSpanHammerWithConcurrentReaders(t *testing.T) {
 	)
 
 	op := trace.NewOp("cxlocktest", t.Name())
+	// Classes are process-global, so a -count rerun finds this one's
+	// earlier spans: count this run's from the class's starting total.
+	before := op.Snapshot().Acquisitions
 	lock := NewWith(Options{
 		Sleep: true,
 		Name:  t.Name(),
@@ -87,8 +90,8 @@ func TestSpanHammerWithConcurrentReaders(t *testing.T) {
 	wg.Wait()
 
 	p := op.Snapshot()
-	if want := int64(writers * spansEach); p.Acquisitions != want {
-		t.Fatalf("completed spans = %d, want %d", p.Acquisitions, want)
+	if want := int64(writers * spansEach); p.Acquisitions-before != want {
+		t.Fatalf("completed spans = %d, want %d", p.Acquisitions-before, want)
 	}
 	if p.MaxHoldNs <= 0 || p.P99HoldNs <= 0 {
 		t.Fatalf("latency histogram empty: %+v", p)

@@ -20,8 +20,9 @@
 //
 // Object is intended for embedding: kernel types (Task, Thread, Port,
 // PortSet, Processor, ProcessorSet) embed it and gain the whole discipline.
-// The memory object (vm.Object) does not: its count is read together with
-// its paging count under its own lock, so it keeps a locked count.
+// The memory object (vm.Object) does not embed it, but keeps the same
+// atomic count: its paging count and terminating flag, the other half of
+// its dual count, stay under its own lock.
 package object
 
 import (

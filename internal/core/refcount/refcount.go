@@ -17,13 +17,12 @@
 //     pointers, and no way to invoke new operations, so the object and its
 //     data structure are destroyed.
 //
-// Atomic is the kernel-object count (object.Object): a clone is one atomic
-// increment and a release one atomic decrement, with no lock taken. The
-// paper put "a mutex around an integer variable" because Mach of 1991 could
-// not assume atomic read-modify-write; this repo can. Count is the
-// lock-protected form, kept where the count is read together with other
-// state under the same lock (vm.Object's dual count, vm.Map) and as E6's
-// Mach baseline.
+// Atomic is the one count every kernel structure keeps (object.Object,
+// vm.Object, vm.Map): a clone is one atomic increment and a release one
+// atomic decrement, with no lock taken. The paper put "a mutex around an
+// integer variable" because Mach of 1991 could not assume atomic
+// read-modify-write; this repo can. Count is the lock-protected form, kept
+// only as E6's Mach baseline and the facade's RefCount.
 package refcount
 
 import (
@@ -36,8 +35,8 @@ import (
 
 // Count is a reference count protected by its object's lock: every method
 // must be called with that lock held (the package cannot check this
-// itself). vm.Object and vm.Map keep it; the zero value is a dead count;
-// use Init.
+// itself). No kernel structure keeps it; it is the paper's form for E6 and
+// the facade. The zero value is a dead count; use Init.
 type Count struct {
 	n int32
 
@@ -96,9 +95,9 @@ func (c *Count) Release() bool {
 }
 
 // Atomic is a lock-free reference count over hardware atomics, the count
-// every kernel object keeps (object.Object). The caller of Clone must hold
-// a reference, or be covered by one that cannot be dropped mid-clone; no
-// lock is required.
+// every kernel structure keeps. The caller of Clone must hold a reference,
+// or be covered by one that cannot be dropped mid-clone; no lock is
+// required.
 type Atomic struct {
 	n     atomic.Int32
 	class *trace.Class

@@ -5,10 +5,10 @@ import "strings"
 // The two emitters name classes in different vocabularies:
 //
 //   - machvet's lockstate.ClassKeyOf derives TYPE-LEVEL keys from the
-//     receiver expression: "vm.Map.refLock" (field of a named container),
+//     receiver expression: "vm.Map.lock" (field of a named container),
 //     "ipc.Port" (an object.Object embedder classed by its own type),
 //     "local:x@1234" (a function-local lock, position-unique);
-//   - the trace registry names classes at registration time: "vm.map.ref",
+//   - the trace registry names classes at registration time: "vm.map",
 //     "ipc.port", "zone.kern.task" (one class per zalloc zone).
 //
 // The canonical vocabulary is the trace registry's (one name per
@@ -24,7 +24,6 @@ import "strings"
 // staticClasses: machvet ClassKey -> canonical (trace) class name.
 var staticClasses = map[string]string{
 	"vm.Map.lock":               "vm.map",
-	"vm.Map.refLock":            "vm.map.ref",
 	"vm.Object.lock":            "vm.object",
 	"ipc.Port":                  "ipc.port",
 	"ipc.Space.lock":            "ipc.space",
@@ -42,7 +41,6 @@ var staticClasses = map[string]string{
 // trace.NewClass registrations.
 var canonicalKinds = map[string]string{
 	"vm.map":            "complex",
-	"vm.map.ref":        "ref",
 	"vm.object":         "spin",
 	"ipc.port":          "object",
 	"ipc.space":         "complex",

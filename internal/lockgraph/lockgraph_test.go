@@ -253,7 +253,7 @@ func TestCanonicalStatic(t *testing.T) {
 		obs       bool
 	}{
 		{"vm.Map.lock", "vm.map", true},
-		{"vm.Map.refLock", "vm.map.ref", true},
+		{"vm.Object.lock", "vm.object", true},
 		{"ipc.Port", "ipc.port", true},
 		{"kern.ProcessorSet.members", "kern.pset.members", true},
 		{"kern.Host.assignLock", "kern.host.assign", true},

@@ -223,6 +223,7 @@ func (c *Collector) Snapshot() []ScenarioSnapshot {
 	out := make([]ScenarioSnapshot, 0, len(c.scens))
 	for _, name := range Scenarios {
 		s := c.scens[name]
+		q := s.latency.Quantiles(0.50, 0.90, 0.99)
 		out = append(out, ScenarioSnapshot{
 			Name:     name,
 			Offered:  s.offered.Load(),
@@ -230,9 +231,9 @@ func (c *Collector) Snapshot() []ScenarioSnapshot {
 			Failed:   s.failed.Load(),
 			TimedOut: s.timedOut.Load(),
 			Shed:     s.shed.Load(),
-			P50Ns:    s.latency.Quantile(0.50),
-			P90Ns:    s.latency.Quantile(0.90),
-			P99Ns:    s.latency.Quantile(0.99),
+			P50Ns:    q[0],
+			P90Ns:    q[1],
+			P99Ns:    q[2],
 			MaxNs:    s.latency.Max(),
 		})
 	}

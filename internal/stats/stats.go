@@ -85,7 +85,7 @@ func bucketFor(v int64) int {
 }
 
 // bucketMid returns the midpoint of bucket i's value range, the estimate
-// Quantile reports for samples counted there.
+// Quantiles reports for samples counted there.
 func bucketMid(i int) int64 {
 	if i < subs {
 		return int64(i)
@@ -114,31 +114,34 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum.Load()) / float64(n)
 }
 
-// Quantile returns an estimate of the q-th quantile (0 <= q <= 1): the
-// midpoint of the bucket holding the target rank, capped at Max. The
-// estimate is within 1/32 (~3%) of a sample in that bucket, and exact below
-// 16.
-func (h *Histogram) Quantile(q float64) int64 {
+// Quantiles returns estimates of the given quantiles (each 0 <= q <= 1,
+// in ascending order): for each, the midpoint of the bucket holding its
+// target rank, capped at Max. One pass over the buckets answers them all
+// against one sample total and one max, so the answers keep the order of
+// qs while writers Observe. An estimate is within 1/32 (~3%) of a sample
+// in its bucket, and exact below 16.
+func (h *Histogram) Quantiles(qs ...float64) []int64 {
+	out := make([]int64, len(qs))
 	total := h.count.Load()
 	if total == 0 {
-		return 0
+		return out
 	}
-	target := int64(math.Ceil(q * float64(total)))
-	if target < 1 {
-		target = 1
-	}
-	// Observe raises max before it counts the sample, so no bucket above
-	// max's is populated and the scan can stop there.
+	// Observe raises max before it counts the sample in a bucket, so no
+	// bucket above max's is populated and the scan can stop there.
 	hi := h.max.Load()
 	top := bucketFor(hi)
 	var seen int64
-	for i := 0; i <= top; i++ {
+	j := 0
+	for i := 0; i <= top && j < len(qs); i++ {
 		seen += h.buckets[i].Load()
-		if seen >= target {
-			return min(bucketMid(i), hi)
+		for ; j < len(qs) && seen >= max(int64(math.Ceil(qs[j]*float64(total))), 1); j++ {
+			out[j] = min(bucketMid(i), hi)
 		}
 	}
-	return hi
+	for ; j < len(qs); j++ {
+		out[j] = hi
+	}
+	return out
 }
 
 // Reset zeroes the histogram.

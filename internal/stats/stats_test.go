@@ -74,15 +74,15 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	h.Observe(100000)
 	// Values below 16 have a bucket each: p50 is exact.
-	if q := h.Quantile(0.5); q != 10 {
+	if q := h.Quantiles(0.5)[0]; q != 10 {
 		t.Fatalf("p50 = %d", q)
 	}
 	// p100 lands in the top populated bucket.
-	if q := h.Quantile(1.0); q < 65536 {
+	if q := h.Quantiles(1.0)[0]; q < 65536 {
 		t.Fatalf("p100 = %d", q)
 	}
 	var empty Histogram
-	if empty.Quantile(0.5) != 0 {
+	if empty.Quantiles(0.5)[0] != 0 {
 		t.Fatal("empty quantile nonzero")
 	}
 }
@@ -94,7 +94,7 @@ func TestHistogramNonPositive(t *testing.T) {
 	if h.Count() != 2 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if q := h.Quantile(0.5); q != 0 {
+	if q := h.Quantiles(0.5)[0]; q != 0 {
 		t.Fatalf("quantile of non-positive samples = %d", q)
 	}
 }
@@ -109,12 +109,12 @@ func TestHistogramRelativeError(t *testing.T) {
 		for _, s := range []int64{v, v + v/3, 2*v - 1} {
 			h.Observe(s)
 			h.Observe(1 << 62) // keeps the Max cap from hiding the bucket error
-			got := h.Quantile(0.5)
+			got := h.Quantiles(0.5)[0]
 			if err := math.Abs(float64(got-s)) / float64(s); err > 0.04 {
 				t.Fatalf("sample %d read back as %d (%.1f%% off)", s, got, 100*err)
 			}
 			h.Reset()
-			if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
+			if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || h.Quantiles(0.5)[0] != 0 {
 				t.Fatalf("Reset after %d left state behind", s)
 			}
 		}
@@ -149,9 +149,14 @@ func TestHistogramQuantilesMonotone(t *testing.T) {
 				h.Observe(exact[i])
 			}
 			slices.Sort(exact)
+			qs := []float64{0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1}
+			all := h.Quantiles(qs...)
 			var prev int64
-			for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
-				got := h.Quantile(q)
+			for i, q := range qs {
+				got := all[i]
+				if one := h.Quantiles(q)[0]; one != got {
+					t.Errorf("q%.3f = %d alone but %d among %v", q, one, got, qs)
+				}
 				want := exact[int(math.Ceil(q*n))-1]
 				if got < prev {
 					t.Errorf("q%.3f = %d below the previous quantile %d", q, got, prev)
@@ -162,6 +167,43 @@ func TestHistogramQuantilesMonotone(t *testing.T) {
 				prev = got
 			}
 		})
+	}
+}
+
+// TestHistogramQuantilesOrderedUnderWriters: quantiles read while a
+// writer Observes come out ordered on every read, P50 <= P90 <= P99 <=
+// Max, because one read answers them all from one pass over the buckets.
+// Each round starts a fresh histogram with one large sample and then
+// floods it with small ones, so the quantiles fall fastest while the
+// reader reads: a read that rescanned the buckets per quantile would see
+// a later, lower P90 under an earlier P50.
+func TestHistogramQuantilesOrderedUnderWriters(t *testing.T) {
+	const rounds, flood = 500, 2000
+	reads := 0
+	for r := 0; r < rounds; r++ {
+		var h Histogram
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			h.Observe(1 << 20)
+			for i := 0; i < flood; i++ {
+				h.Observe(1)
+			}
+		}()
+		for writing := true; writing; reads++ {
+			select {
+			case <-done:
+				writing = false
+			default:
+			}
+			q := h.Quantiles(0.50, 0.90, 0.99)
+			if m := h.Max(); q[0] > q[1] || q[1] > q[2] || q[2] > m {
+				t.Fatalf("round %d: p50 %d, p90 %d, p99 %d, max %d out of order", r, q[0], q[1], q[2], m)
+			}
+		}
+	}
+	if reads <= rounds {
+		t.Fatalf("%d reads in %d rounds: no read overlapped a writer", reads, rounds)
 	}
 }
 
@@ -181,7 +223,7 @@ func TestHistogramQuantileBoundQuick(t *testing.T) {
 				max = v
 			}
 		}
-		q := h.Quantile(1.0)
+		q := h.Quantiles(1.0)[0]
 		return q <= max && q*2 > max/2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

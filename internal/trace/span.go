@@ -258,22 +258,25 @@ func OpProfiles() []OpProfile {
 		if c.kind != KindOp {
 			continue
 		}
+		hold := c.hold.Quantiles(0.50, 0.90, 0.99)
+		wait := c.wait.Quantiles(0.50, 0.90, 0.99)
+		work := c.work.Quantiles(0.50, 0.90, 0.99)
 		out = append(out, OpProfile{
 			Name:      c.name,
 			Pkg:       c.pkg,
 			Count:     c.counts.Load(laneAcquire),
 			Contended: c.counts.Load(laneContended),
 			MeanNs:    int64(c.hold.Mean()),
-			P50Ns:     c.hold.Quantile(0.50),
-			P90Ns:     c.hold.Quantile(0.90),
-			P99Ns:     c.hold.Quantile(0.99),
+			P50Ns:     hold[0],
+			P90Ns:     hold[1],
+			P99Ns:     hold[2],
 			MaxNs:     c.hold.Max(),
-			P50WaitNs: c.wait.Quantile(0.50),
-			P90WaitNs: c.wait.Quantile(0.90),
-			P99WaitNs: c.wait.Quantile(0.99),
-			P50WorkNs: c.work.Quantile(0.50),
-			P90WorkNs: c.work.Quantile(0.90),
-			P99WorkNs: c.work.Quantile(0.99),
+			P50WaitNs: wait[0],
+			P90WaitNs: wait[1],
+			P99WaitNs: wait[2],
+			P50WorkNs: work[0],
+			P90WorkNs: work[1],
+			P99WorkNs: work[2],
 		})
 	}
 	return out

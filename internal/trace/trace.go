@@ -447,7 +447,7 @@ func (c *Class) HoldQuantile(q float64) int64 {
 	if c == nil {
 		return 0
 	}
-	return c.hold.Quantile(q)
+	return c.hold.Quantiles(q)[0]
 }
 
 // WaitQuantile returns the q-th quantile of the class's wait-time samples.
@@ -455,7 +455,7 @@ func (c *Class) WaitQuantile(q float64) int64 {
 	if c == nil {
 		return 0
 	}
-	return c.wait.Quantile(q)
+	return c.wait.Quantiles(q)[0]
 }
 
 // Profile is a point-in-time summary of one class's accounting.
@@ -496,6 +496,7 @@ type Profile struct {
 
 // Snapshot returns the class's current profile.
 func (c *Class) Snapshot() Profile {
+	hold, wait := c.hold.Quantiles(0.50, 0.90, 0.99), c.wait.Quantiles(0.50, 0.90, 0.99)
 	p := Profile{
 		Name:            c.name,
 		Pkg:             c.pkg,
@@ -504,14 +505,14 @@ func (c *Class) Snapshot() Profile {
 		Contended:       c.counts.Load(laneContended),
 		Releases:        c.counts.Load(laneRelease),
 		MeanHoldNs:      c.hold.Mean(),
-		P50HoldNs:       c.hold.Quantile(0.50),
-		P90HoldNs:       c.hold.Quantile(0.90),
-		P99HoldNs:       c.hold.Quantile(0.99),
+		P50HoldNs:       hold[0],
+		P90HoldNs:       hold[1],
+		P99HoldNs:       hold[2],
 		MaxHoldNs:       c.hold.Max(),
 		MeanWaitNs:      c.wait.Mean(),
-		P50WaitNs:       c.wait.Quantile(0.50),
-		P90WaitNs:       c.wait.Quantile(0.90),
-		P99WaitNs:       c.wait.Quantile(0.99),
+		P50WaitNs:       wait[0],
+		P90WaitNs:       wait[1],
+		P99WaitNs:       wait[2],
 		MaxWaitNs:       c.wait.Max(),
 		Upgrades:        c.upgrades.Load(),
 		FailedUpgrades:  c.failedUpgrades.Load(),

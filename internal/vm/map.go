@@ -7,13 +7,12 @@ import (
 
 	"machlock/internal/core/cxlock"
 	"machlock/internal/core/refcount"
-	"machlock/internal/core/splock"
 	"machlock/internal/sched"
 	"machlock/internal/trace"
 )
 
-// Observability classes: every map shares one class per lock site, so the
-// contention profile aggregates across all maps in the system.
+// Observability classes: every map shares one class per lock or count
+// site, so the profile aggregates across all maps in the system.
 var (
 	classMap    = trace.NewClass("vm", "vm.map", trace.KindComplex)
 	classMapRef = trace.NewClass("vm", "vm.map.ref", trace.KindRef)
@@ -56,9 +55,13 @@ type Fetcher func(t *sched.Thread, o *Object, offset uint64) []byte
 // disappears".
 type Map struct {
 	lock cxlock.Lock
+	refs refcount.Atomic
 
-	refLock splock.Lock
-	refs    refcount.Count
+	// _ starts the fields a fault touches (entries, faults) a whole line
+	// past the lock. Many processors fetch lines in 128-byte pairs, and the
+	// lock's last line holds words every biased read loads: the fault
+	// counter each fault writes must not share that pair.
+	_ [48]byte
 
 	entries []*Entry
 	pool    *PagePool
@@ -85,7 +88,6 @@ func NewMap(pool *PagePool) *Map {
 	})
 	m.refs.Init(1)
 	m.refs.SetClass(classMapRef)
-	m.refLock.InitWith(splock.Opts{Class: classMapRef, Name: "vm.map.ref"})
 	classMapRef.CensusInc() // maps passively vanish; census out in Release
 	return m
 }
@@ -99,21 +101,13 @@ func (m *Map) SetFetcher(f Fetcher) { m.fetch = f }
 func (m *Map) DebugLock() *cxlock.Lock { return &m.lock }
 
 // Reference clones a reference to the map.
-func (m *Map) Reference() {
-	m.refLock.Lock()
-	m.refs.Clone()
-	m.refLock.Unlock()
-}
+func (m *Map) Reference() { m.refs.Clone() }
 
 // Release drops a reference; the last one tears the map down, releasing
 // each entry's object reference (which may terminate the objects and free
 // their pages).
 func (m *Map) Release(t *sched.Thread) {
-	m.refLock.Lock()
-	//machvet:allow holdblock — decrement under the map's own ref lock is the release protocol; the blocking teardown runs after Unlock
-	last := m.refs.Release()
-	m.refLock.Unlock()
-	if !last {
+	if !m.refs.Release() {
 		return
 	}
 	classMapRef.CensusDec()

@@ -22,10 +22,11 @@ var classObject = trace.NewClass("vm", "vm.object", trace.KindSpin)
 //     for the data structure, plus pagingInProgress — "a hybrid of a
 //     reference and a lock because it excludes operations such as object
 //     termination that cannot be performed while paging is in progress."
-//     The reference count therefore stays a locked refcount.Count, unlike
-//     the atomic count of object.Object: the last release sets terminating
-//     and drains pagingInProgress in the same hold of the object lock, and
-//     a fault that misses takes its paging count in the hold that checks
+//     Only the reference half is atomic (refcount.Atomic, as in
+//     object.Object). The paging half stays under the object lock, next
+//     to the page table: the releaser that drops the count to zero takes
+//     the lock, sets terminating and drains pagingInProgress, and a fault
+//     that misses takes its paging count in the hold that checks
 //     terminating.
 //
 //   - A customized lock (Section 5): pager-port creation can block, so it
@@ -34,7 +35,7 @@ var classObject = trace.NewClass("vm", "vm.object", trace.KindSpin)
 //     (pagerCreated: someone is creating; pagerInitialized: done).
 type Object struct {
 	lock splock.Lock
-	refs refcount.Count
+	refs refcount.Atomic
 
 	pagingInProgress int32
 	terminating      bool
@@ -70,34 +71,29 @@ func NewObject(pool *PagePool, size uint64) *Object {
 // Size returns the object's size in pages.
 func (o *Object) Size() uint64 { return o.size }
 
-// Reference clones a reference to the object (lock, increment, unlock).
-func (o *Object) Reference() {
-	o.lock.Lock()
-	o.refs.Clone()
-	o.lock.Unlock()
-}
+// Reference clones a reference to the object: one atomic increment.
+func (o *Object) Reference() { o.refs.Clone() }
 
 // Refs returns the current reference count (for tests).
-func (o *Object) Refs() int32 {
-	o.lock.Lock()
-	defer o.lock.Unlock()
-	return o.refs.Refs()
-}
+func (o *Object) Refs() int32 { return o.refs.Refs() }
 
 // Release drops one reference. Dropping the last one terminates the
 // object: termination waits for paging operations to drain (the hybrid
 // count's lock half), then frees all resident pages and destroys the pager
 // port. Like every release it may block, so callers may not hold simple
 // locks.
+//
+// The count reaches zero before terminating is set. No correct caller
+// faults in that window, since a fault's map entry holds a reference; a
+// fill let in by a protocol-violating release has raised pagingInProgress
+// under the object lock, so the drain below still waits for it.
 func (o *Object) Release(t *sched.Thread) {
-	o.lock.Lock()
-	//machvet:allow holdblock — decrement under the object's own lock is the release protocol; the blocking teardown runs after Unlock
 	if !o.refs.Release() {
-		o.lock.Unlock()
 		return
 	}
 	// Last reference: terminate. Paging in progress excludes termination;
 	// wait for it to drain.
+	o.lock.Lock()
 	o.terminating = true
 	for o.pagingInProgress > 0 {
 		sched.ThreadSleep(t, sched.Event(&o.pagingInProgress), func() { o.lock.Unlock() })

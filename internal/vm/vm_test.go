@@ -149,6 +149,17 @@ func TestObjectSizeIsWholeCacheLines(t *testing.T) {
 	}
 }
 
+// TestMapFaultFieldsClearOfLock pins the pad in Map: a whole line of
+// cold fields separates the lock from the fault counter every fault
+// writes, so the two never share a 128-byte line pair.
+func TestMapFaultFieldsClearOfLock(t *testing.T) {
+	var m Map
+	lockEnd := unsafe.Offsetof(m.lock) + unsafe.Sizeof(m.lock)
+	if gap := unsafe.Offsetof(m.entries) - lockEnd; gap < 64 {
+		t.Fatalf("vm.Map's fault fields start %d bytes after its lock, want at least 64", gap)
+	}
+}
+
 func TestObjectReleaseFreesPages(t *testing.T) {
 	pool := NewPool(4)
 	m := NewMap(pool)
